@@ -23,15 +23,17 @@ from typing import Callable, Optional, TypeVar
 from ..errors import (
     ArgGenError,
     BackendError,
+    DcflowError,
     InspectionError,
     OpChoiceError,
+    ReplayError,
     SelectionError,
 )
 from ..ops import MassEditSpec, OpKind
 from ..query import Purpose
 from ..table import Table
 from ..transform import TransformExpr
-from ..workflow import OpSpec, Workflow, record, replay
+from ..workflow import OpSpec, Workflow, apply_step
 from .backends import (
     DEFAULT_PARAMS,
     MASS_EDIT_TEMPERATURE,
@@ -405,14 +407,22 @@ def run_pipeline(
             except (OpChoiceError, ArgGenError) as exc:
                 trace.add_event("column_error", column, str(exc))
                 break
+            # ``current`` is the replay of ``workflow`` over ``table``, so
+            # the step is checked against and applied to it once; the
+            # workflow numbers the new step.
+            current.column_index(column)
             step = OpSpec(
                 op=choice.op,
                 column=column,
                 args=args,
                 rationale=choice.explanation or None,
             )
-            workflow = record(workflow, step, table)
-            current = replay(workflow, table).final
+            workflow = replace(workflow, steps=workflow.steps + (step,))
+            step = workflow.steps[-1]
+            try:
+                current = apply_step(current, step)
+            except DcflowError as exc:
+                raise ReplayError(step.step_index, exc) from exc
         else:
             trace.add_event(
                 "budget_exhausted",

@@ -8,6 +8,7 @@ scripted backend keys on.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -35,7 +36,9 @@ class PromptTemplates:
     operations: str
 
 
+@functools.cache
 def load_default_templates() -> PromptTemplates:
+    """The bundled templates, read on the first call and shared after it."""
     base = resources.files("dcflow.agent") / "templates"
     texts = {
         key: (base / fname).read_text(encoding="utf-8")

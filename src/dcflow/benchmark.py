@@ -233,8 +233,58 @@ def _corrupt(cell: Cell, family: ErrorFamily, rng: random.Random) -> Cell:
     return Cell.text(text[: i + 1] + " " + text[i + 1 :])
 
 
+class _Pool:
+    """The cells still open to one family, in column-major order.
+
+    Indexes like the list it was built from minus the removed cells, so
+    ``rng.choice`` draws exactly what it would draw from that list. A
+    Fenwick tree over "still open" flags makes indexing and removal
+    O(log n) instead of the O(n) of a list.
+    """
+
+    def __init__(self, cells: list[tuple[int, str]]):
+        self._cells = cells
+        self._slot = {cell: k for k, cell in enumerate(cells)}
+        n = len(cells)
+        self._tree = [0] + [1] * n  # tree[k] counts the open slots in (k - lowbit(k), k]
+        for k in range(1, n + 1):
+            parent = k + (k & -k)
+            if parent <= n:
+                self._tree[parent] += self._tree[k]
+
+    def __len__(self) -> int:
+        return len(self._slot)
+
+    def __getitem__(self, rank: int) -> tuple[int, str]:
+        if not 0 <= rank < len(self._slot):
+            raise IndexError(rank)
+        k = 0
+        step = 1 << (len(self._tree) - 1).bit_length()
+        while step:
+            nxt = k + step
+            if nxt < len(self._tree) and self._tree[nxt] <= rank:
+                k = nxt
+                rank -= self._tree[nxt]
+            step >>= 1
+        return self._cells[k]
+
+    def discard(self, cell: tuple[int, str]) -> None:
+        k = self._slot.pop(cell, None)
+        if k is None:
+            return
+        k += 1
+        while k < len(self._tree):
+            self._tree[k] -= 1
+            k += k & -k
+
+
 def inject_errors(table: Table, profile: ErrorProfile) -> tuple[Table, ErrorLog]:
-    """Corrupt ~rate of the target-column cells; same seed, same output."""
+    """Corrupt ~rate of the target-column cells; same seed, same output.
+
+    Each cell's eligibility is judged once per family. A corrupted cell
+    leaves every pool and no other cell changes, so the pools stay what a
+    fresh scan would find.
+    """
     for name in profile.columns:
         table.column_index(name)
     rng = random.Random(profile.seed)
@@ -243,40 +293,35 @@ def inject_errors(table: Table, profile: ErrorProfile) -> tuple[Table, ErrorLog]
     rows = [list(row) for row in table.rows]
     col_indices = {name: table.column_index(name) for name in profile.columns}
     families = [f for f, w in profile.mix.items() if w > 0]
-    weights = [profile.mix[f] for f in families]
-    corrupted: set[tuple[int, str]] = set()
     entries: list[ErrorLogEntry] = []
 
     if target > 0:
-        any_eligible = any(
-            _eligible(rows[i][j], family)
+        pools = {
+            family: _Pool(
+                [
+                    (i, name)
+                    for name, j in col_indices.items()
+                    for i in range(table.n_rows)
+                    if _eligible(rows[i][j], family)
+                ]
+            )
             for family in families
-            for name, j in col_indices.items()
-            for i in range(table.n_rows)
-        )
-        if not any_eligible:
+        }
+        if not any(pools.values()):
             raise NoEligibleCellsError("no target cell is eligible for any family")
 
     while len(entries) < target:
-        open_by_family = {
-            family: [
-                (i, name)
-                for name, j in col_indices.items()
-                for i in range(table.n_rows)
-                if (i, name) not in corrupted and _eligible(rows[i][j], family)
-            ]
-            for family in families
-        }
-        usable = [f for f in families if open_by_family[f]]
+        usable = [f for f in families if pools[f]]
         if not usable:
             break
         family = rng.choices(usable, weights=[profile.mix[f] for f in usable], k=1)[0]
-        i, name = rng.choice(open_by_family[family])
+        i, name = rng.choice(pools[family])
         j = col_indices[name]
         original = rows[i][j]
         replacement = _corrupt(original, family, rng)
         rows[i][j] = replacement
-        corrupted.add((i, name))
+        for pool in pools.values():
+            pool.discard((i, name))
         entries.append(ErrorLogEntry(i, name, original, replacement, family))
 
     dirty = Table(table.columns, tuple(tuple(r) for r in rows), table.provenance)

@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .cells import Cell, CellKind, format_number, parse_date, parse_number
 from .errors import SchemaError, TypeMismatchError
@@ -150,47 +150,66 @@ def _cell_instant(cell: Cell):
     return None
 
 
-def _filter_matches(f: Filter, cell: Cell) -> bool:
-    if cell.is_missing:
-        return False
-    if f.op in ("=", "!="):
-        eq = _values_equal(cell, f.value)
-        return eq if f.op == "=" else not eq
-    if f.op == "contains":
-        return f.value.render() in cell.render()
-    if f.op in ("before", "after"):
-        lit = _cell_instant(f.value)
-        got = _cell_instant(cell)
-        if lit is None or got is None:
+def _row_test(f: Filter, table: Table) -> Callable[[tuple[Cell, ...]], bool]:
+    """The test ``f`` applies to each row of ``table``.
+
+    The column index and the literal's number, instant and rendering are
+    computed once. A cell is coerced only into a domain the literal has,
+    and a text cell's verdict is computed once per distinct value.
+    """
+    j = table.column_index(f.column)
+    op = f.op
+    lit_text = f.value.render()
+    lit_number = _cell_number(f.value)
+    lit_instant = _cell_instant(f.value)
+    lit_is_text = f.value.kind is CellKind.TEXT
+
+    def compare(cell: Cell) -> Optional[int]:
+        """Three-way comparison of ``cell`` with the literal in the first
+        domain both coerce to, number then instant; None if neither."""
+        if lit_number is not None:
+            n = _cell_number(cell)
+            if n is not None:
+                return (n > lit_number) - (n < lit_number)
+        if lit_instant is not None:
+            d = _cell_instant(cell)
+            if d is not None:
+                return (d > lit_instant) - (d < lit_instant)
+        return None
+
+    def verdict(cell: Cell) -> bool:
+        if cell.is_missing:
             return False
-        return got < lit if f.op == "before" else got > lit
-    cmp = _compare(cell, f.value)
-    if cmp is None:
-        return False
-    return {"<": cmp < 0, "<=": cmp <= 0, ">": cmp > 0, ">=": cmp >= 0}[f.op]
+        if op == "contains":
+            return lit_text in cell.render()
+        if op in ("before", "after"):
+            got = _cell_instant(cell)
+            if lit_instant is None or got is None:
+                return False
+            return got < lit_instant if op == "before" else got > lit_instant
+        cmp = compare(cell)
+        if op in ("=", "!="):
+            eq = cmp == 0 if cmp is not None else cell.render() == lit_text
+            return eq if op == "=" else not eq
+        if cmp is None:
+            if not (lit_is_text and cell.kind is CellKind.TEXT):
+                return False
+            text = cell.value
+            cmp = (text > lit_text) - (text < lit_text)
+        return {"<": cmp < 0, "<=": cmp <= 0, ">": cmp > 0, ">=": cmp >= 0}[op]
 
+    verdicts: dict[str, bool] = {}
 
-def _values_equal(a: Cell, b: Cell) -> bool:
-    na, nb = _cell_number(a), _cell_number(b)
-    if na is not None and nb is not None:
-        return na == nb
-    da, db = _cell_instant(a), _cell_instant(b)
-    if da is not None and db is not None:
-        return da == db
-    return a.render() == b.render()
+    def test(row: tuple[Cell, ...]) -> bool:
+        cell = row[j]
+        if cell.kind is not CellKind.TEXT:
+            return verdict(cell)
+        seen = verdicts.get(cell.value)
+        if seen is None:
+            seen = verdicts[cell.value] = verdict(cell)
+        return seen
 
-
-def _compare(a: Cell, b: Cell) -> Optional[int]:
-    na, nb = _cell_number(a), _cell_number(b)
-    if na is not None and nb is not None:
-        return (na > nb) - (na < nb)
-    da, db = _cell_instant(a), _cell_instant(b)
-    if da is not None and db is not None:
-        return (da > db) - (da < db)
-    if a.kind is CellKind.TEXT and b.kind is CellKind.TEXT:
-        ra, rb = a.render(), b.render()
-        return (ra > rb) - (ra < rb)
-    return None
+    return test
 
 
 def _validate_query(q: QuerySpec, table: Table) -> None:
@@ -307,11 +326,8 @@ def _project(
 def execute_purpose(query: QuerySpec, table: Table) -> Answer:
     """Compute a purpose's answer from a table. Pure and deterministic."""
     _validate_query(query, table)
-    rows = [
-        row
-        for row in table.rows
-        if all(_filter_matches(f, row[table.column_index(f.column)]) for f in query.filters)
-    ]
+    tests = [_row_test(f, table) for f in query.filters]
+    rows = [row for row in table.rows if all(test(row) for test in tests)]
     agg = query.aggregate
     if agg is not None and agg.fn in ("argmax_by", "argmin_by"):
         winners = _argmax_rows(agg, rows, table)

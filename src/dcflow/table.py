@@ -89,9 +89,13 @@ def load_table(
     header: bool = True,
     provenance: str | None = None,
 ) -> Table:
-    """Parse a CSV payload. Empty fields become missing cells; no typing."""
+    """Parse a CSV payload. Empty fields become missing cells; no typing.
+
+    A leading UTF-8 byte order mark, as spreadsheet exports write, is
+    dropped rather than kept in the first column's name.
+    """
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise EncodingError(f"payload is not valid UTF-8: {exc}") from exc
     records = list(csv.reader(io.StringIO(text, newline=""), delimiter=delimiter))

@@ -4,6 +4,10 @@ These are deliberately written from the definitions, not by calling the
 package: brute-force block matching for similarity, a per-cell loop with its
 own equivalence test for the column ratio, recursive maximum matching for
 multiset overlap, and small independent parsers for numbers/whitespace.
+
+The last section keeps the straightforward versions of code that was since
+rewritten for speed (error injection, query filters), verbatim, so the
+rewrites can be checked against them.
 """
 
 from __future__ import annotations
@@ -129,3 +133,139 @@ def strip_whitespace_oracle(text: str) -> str:
 def parse_date_oracle(text: str, fmt: str) -> datetime:
     """Single-format calendar parse used to freeze expected date values."""
     return datetime.strptime(text, fmt).replace(tzinfo=timezone.utc)
+
+
+# ---------------------------------------------------------------------------
+# replaced implementations, kept verbatim as differential references
+
+
+def inject_errors_oracle(table, profile):
+    """``inject_errors`` as it was before its pools were built once: every
+    injection rescans every target cell for every family."""
+    import random
+
+    from dcflow.benchmark import ErrorLog, ErrorLogEntry, _corrupt, _eligible
+    from dcflow.errors import NoEligibleCellsError
+    from dcflow.table import Table
+
+    for name in profile.columns:
+        table.column_index(name)
+    rng = random.Random(profile.seed)
+    total = table.n_rows * len(profile.columns)
+    target = int(profile.rate * total + 0.5)
+    rows = [list(row) for row in table.rows]
+    col_indices = {name: table.column_index(name) for name in profile.columns}
+    families = [f for f, w in profile.mix.items() if w > 0]
+    weights = [profile.mix[f] for f in families]
+    corrupted: set[tuple[int, str]] = set()
+    entries: list[ErrorLogEntry] = []
+
+    if target > 0:
+        any_eligible = any(
+            _eligible(rows[i][j], family)
+            for family in families
+            for name, j in col_indices.items()
+            for i in range(table.n_rows)
+        )
+        if not any_eligible:
+            raise NoEligibleCellsError("no target cell is eligible for any family")
+
+    while len(entries) < target:
+        open_by_family = {
+            family: [
+                (i, name)
+                for name, j in col_indices.items()
+                for i in range(table.n_rows)
+                if (i, name) not in corrupted and _eligible(rows[i][j], family)
+            ]
+            for family in families
+        }
+        usable = [f for f in families if open_by_family[f]]
+        if not usable:
+            break
+        family = rng.choices(usable, weights=[profile.mix[f] for f in usable], k=1)[0]
+        i, name = rng.choice(open_by_family[family])
+        j = col_indices[name]
+        original = rows[i][j]
+        replacement = _corrupt(original, family, rng)
+        rows[i][j] = replacement
+        corrupted.add((i, name))
+        entries.append(ErrorLogEntry(i, name, original, replacement, family))
+
+    dirty = Table(table.columns, tuple(tuple(r) for r in rows), table.provenance)
+    return dirty, ErrorLog(tuple(entries))
+
+
+def _cell_number(cell):
+    from dcflow.cells import CellKind, parse_number
+
+    if cell.kind is CellKind.NUMBER:
+        return cell.value
+    if cell.kind is CellKind.TEXT:
+        return parse_number(cell.value)
+    return None
+
+
+def _cell_instant(cell):
+    from dcflow.cells import CellKind, parse_date
+
+    if cell.kind is CellKind.DATE:
+        return cell.value
+    if cell.kind is CellKind.TEXT:
+        return parse_date(cell.value)
+    return None
+
+
+def _filter_matches(f, cell) -> bool:
+    if cell.is_missing:
+        return False
+    if f.op in ("=", "!="):
+        eq = _values_equal(cell, f.value)
+        return eq if f.op == "=" else not eq
+    if f.op == "contains":
+        return f.value.render() in cell.render()
+    if f.op in ("before", "after"):
+        lit = _cell_instant(f.value)
+        got = _cell_instant(cell)
+        if lit is None or got is None:
+            return False
+        return got < lit if f.op == "before" else got > lit
+    cmp = _compare(cell, f.value)
+    if cmp is None:
+        return False
+    return {"<": cmp < 0, "<=": cmp <= 0, ">": cmp > 0, ">=": cmp >= 0}[f.op]
+
+
+def _values_equal(a, b) -> bool:
+    na, nb = _cell_number(a), _cell_number(b)
+    if na is not None and nb is not None:
+        return na == nb
+    da, db = _cell_instant(a), _cell_instant(b)
+    if da is not None and db is not None:
+        return da == db
+    return a.render() == b.render()
+
+
+def _compare(a, b):
+    from dcflow.cells import CellKind
+
+    na, nb = _cell_number(a), _cell_number(b)
+    if na is not None and nb is not None:
+        return (na > nb) - (na < nb)
+    da, db = _cell_instant(a), _cell_instant(b)
+    if da is not None and db is not None:
+        return (da > db) - (da < db)
+    if a.kind is CellKind.TEXT and b.kind is CellKind.TEXT:
+        ra, rb = a.render(), b.render()
+        return (ra > rb) - (ra < rb)
+    return None
+
+
+def filter_rows_oracle(query, table):
+    """``execute_purpose``'s row filter as it was before the literal's
+    coercions were hoisted: every filter re-coerces both sides per row."""
+    return [
+        row
+        for row in table.rows
+        if all(_filter_matches(f, row[table.column_index(f.column)]) for f in query.filters)
+    ]

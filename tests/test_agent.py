@@ -27,12 +27,19 @@ from dcflow.agent.parsing import (
     parse_quality_report,
     parse_transform_args,
 )
-from dcflow.agent.prompts import ColumnSampler, build_select_prompt, load_default_templates
+from dcflow.agent.prompts import (
+    ColumnSampler,
+    PromptTemplates,
+    build_select_prompt,
+    load_default_templates,
+)
 from dcflow.errors import (
     ArgGenError,
     InspectionError,
     OpChoiceError,
+    ReplayError,
     SelectionError,
+    TypeMismatchError,
 )
 
 
@@ -563,3 +570,105 @@ def test_default_decoding_params_match_contract():
         max_output_tokens=2048,
         stop=("\n\n\n",),
     )
+
+
+# each step applied once -----------------------------------------------------
+
+DIRTY_REPORT = (
+    "Accuracy: False (noisy)\nRelevance: True (fine)\n"
+    "Completeness: True (fine)\nConciseness: True (fine)\nFlag: False\n"
+    "Objectives:\n- keep scrubbing"
+)
+SIX_STEPS = [
+    ("trim", None),
+    ("upper", None),
+    ("mass_edit", '[{"from": ["CUBA"], "to": "REPUBLIC OF CUBA"}]'),
+    ("regexr_transform", "jython: return re.sub(r' AND ', ' & ', value)"),
+    ("trim", None),
+    ("upper", None),
+]
+
+
+def six_step_backend():
+    entries = [{"stage": "select-columns", "response": "```['country']```"}]
+    for op, args in SIX_STEPS:
+        entries.append({"stage": "inspect-quality", "column": "country", "response": DIRTY_REPORT})
+        entries.append(
+            {"stage": "choose-operation", "column": "country", "response": f"Selected Operation: {op}"}
+        )
+        if args is not None:
+            entries.append({"stage": "generate-arguments", "column": "country", "response": args})
+    entries.append({"stage": "inspect-quality", "column": "country", "response": clean_report()})
+    return scripted(*entries)
+
+
+def count_applications(monkeypatch, fail_at=None):
+    """Route every op application, the pipeline's and replay's, through one
+    counter; the ``fail_at``-th application raises instead."""
+    import dcflow.agent.pipeline
+    import dcflow.workflow
+
+    calls = []
+    original = dcflow.workflow.apply_step
+
+    def counting(table, step):
+        calls.append(step.step_index)
+        if len(calls) == fail_at:
+            raise TypeMismatchError(step.column, step.op.value)
+        return original(table, step)
+
+    monkeypatch.setattr(dcflow.agent.pipeline, "apply_step", counting)
+    monkeypatch.setattr(dcflow.workflow, "apply_step", counting)
+    return calls
+
+
+def test_pipeline_applies_each_step_once(monkeypatch):
+    calls = count_applications(monkeypatch)
+    result = run_pipeline(six_step_backend(), demo_table(), _purpose_stub())
+    assert [s.op.value for s in result.workflow.steps] == [op for op, _ in SIX_STEPS]
+    assert [s.step_index for s in result.workflow.steps] == [1, 2, 3, 4, 5, 6]
+    assert calls == [1, 2, 3, 4, 5, 6]
+    assert not result.degraded
+    assert replay(result.workflow, demo_table()).final == result.final_table
+    assert result.final_table.column_values("country") == (
+        Cell.text("TRINIDAD & TOBAGO"),
+        Cell.text("ANTIGUA & BARBUDA"),
+        Cell.text("REPUBLIC OF CUBA"),
+    )
+
+
+def test_pipeline_step_failure_carries_its_index(monkeypatch):
+    count_applications(monkeypatch, fail_at=4)
+    with pytest.raises(ReplayError) as info:
+        run_pipeline(six_step_backend(), demo_table(), _purpose_stub())
+    assert info.value.step_index == 4
+    assert isinstance(info.value.cause, TypeMismatchError)
+
+
+# templates ----------------------------------------------------------------
+
+def test_default_templates_are_read_once():
+    assert load_default_templates() is load_default_templates()
+
+
+def test_config_templates_override_the_defaults():
+    custom = PromptTemplates(
+        column_selection="CUSTOM SELECT for {purpose}",
+        quality_report="unused",
+        operations="unused",
+    )
+    prompts = []
+
+    class Recording:
+        name = "recording"
+
+        def complete(self, prompt, params):
+            prompts.append(prompt)
+            return "```['country']```"
+
+    names = select_target_columns(
+        Recording(), demo_table(), "p?", PipelineConfig(templates=custom)
+    )
+    assert names == ["country"]
+    assert prompts[0].endswith("CUSTOM SELECT for p?")
+    assert load_default_templates().column_selection not in prompts[0]

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,9 @@ from dcflow.benchmark import (
     assert_case_valid,
 )
 from dcflow.errors import NoEligibleCellsError, SchemaError, SelfCheckError
+
+from genutil import random_table
+from oracles import inject_errors_oracle
 
 
 def clean_table(n_rows=50):
@@ -229,3 +233,77 @@ def test_error_log_validation_catches_drift(cases_dir, tmp_path):
     (tmp_path / "error_log_b.json").write_text(json.dumps(log))
     findings = validate_case(load_case(tmp_path / "case_b.json"))
     assert any("error_log[0]" in f for f in findings)
+
+
+# the pooled injection against the rescanning loop it replaced -------------
+
+FAMILIES = list(ErrorFamily)
+
+
+def _mixes():
+    weights = st.lists(st.integers(0, 3), min_size=len(FAMILIES), max_size=len(FAMILIES))
+    weights = weights.filter(any)
+    return weights.map(lambda w: {f: x / sum(w) for f, x in zip(FAMILIES, w)})
+
+
+def _same_injection(table, prof):
+    try:
+        got = inject_errors(table, prof)
+    except NoEligibleCellsError:
+        with pytest.raises(NoEligibleCellsError):
+            inject_errors_oracle(table, prof)
+        return
+    want = inject_errors_oracle(table, prof)
+    assert got[0] == want[0]
+    assert table_to_csv(got[0]) == table_to_csv(want[0])
+    assert got[1] == want[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    table_seed=st.integers(0, 10**6),
+    seed=st.integers(0, 10**6),
+    rate=st.floats(0.0, 1.0),
+    mix=_mixes(),
+    data=st.data(),
+)
+def test_injection_matches_rescanning_oracle(table_seed, seed, rate, mix, data):
+    table = random_table(random.Random(table_seed), max_rows=12, max_cols=4)
+    columns = data.draw(
+        st.lists(st.sampled_from(table.columns), min_size=1, max_size=3), label="columns"
+    )
+    _same_injection(table, ErrorProfile(rate=rate, columns=tuple(columns), seed=seed, mix=mix))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), rate=st.floats(0.05, 1.0), mix=_mixes())
+def test_injection_matches_oracle_when_families_have_no_cells(seed, rate, mix):
+    # `some` has no numeric cell, so TYPE_ERROR has none; in `numeric_only`
+    # only TYPE_ERROR and FORMATTING have cells; in `none` no family has.
+    some = Table.from_rows(
+        ["a", "b"],
+        [[Cell.text("x y"), Cell.missing()], [Cell.missing(), Cell.text(" ")]],
+    )
+    _same_injection(some, ErrorProfile(rate=rate, columns=("a", "b"), seed=seed, mix=mix))
+    numeric_only = Table.from_rows(["n"], [[Cell.text("42")], [Cell.missing()]])
+    _same_injection(numeric_only, ErrorProfile(rate=rate, columns=("n",), seed=seed, mix=mix))
+    none = Table.from_rows(["a"], [[Cell.missing()], [Cell.text("")]])
+    _same_injection(none, ErrorProfile(rate=rate, columns=("a",), seed=seed, mix=mix))
+
+
+@pytest.mark.parametrize("rate", [0.1, 0.5, 1.0])
+def test_injection_judges_each_cell_once_per_family(monkeypatch, rate):
+    import dcflow.benchmark
+
+    calls = []
+    original = dcflow.benchmark._eligible
+
+    def counting(cell, family):
+        calls.append(family)
+        return original(cell, family)
+
+    monkeypatch.setattr(dcflow.benchmark, "_eligible", counting)
+    t = clean_table(40)
+    _, log = inject_errors(t, profile(rate, seed=4))
+    assert len(log.entries) == int(rate * 80 + 0.5)
+    assert len(calls) <= len(FAMILIES) * t.n_rows * 2

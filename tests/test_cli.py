@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -269,3 +270,27 @@ def test_validate_command(runner):
     result = invoke(runner, "validate", "--suite", str(bundled_suite_path()))
     assert result.exit_code == 0
     assert result.output.count(": ok") == 8
+
+
+def test_bom_prefixed_csvs_validate_and_replay(runner, tmp_path):
+    case_dir = tmp_path / "cfi"
+    shutil.copytree(CASES / "cfi", case_dir)
+    for name in ("raw.csv", "gold.csv"):
+        path = case_dir / name
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"cases": [{"path": "cfi/case_a.json", "topic": "cfi"}]}))
+    result = invoke(runner, "validate", "--suite", str(suite))
+    assert result.exit_code == 0, result.output
+    assert result.output.count(": ok") == 1
+
+    outputs = []
+    for table in (CASES / "cfi" / "raw.csv", case_dir / "raw.csv"):
+        out = tmp_path / f"replayed-{len(outputs)}.csv"
+        result = invoke(
+            runner, "replay", str(CASES / "cfi" / "silver_a.json"), str(table), "--out", str(out)
+        )
+        assert result.exit_code == 0, result.output
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[1].startswith(b"Inspection ID,")

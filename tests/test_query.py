@@ -1,4 +1,5 @@
 import random
+from datetime import datetime, timezone
 from decimal import Decimal
 
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcflow import Cell, Table, answer_to_canonical_text, answers_equal, execute_purpose
+from dcflow.cells import CellKind, parse_date
 from dcflow.errors import TypeMismatchError, UnknownColumnError
 from dcflow.query import (
+    COMPARATORS,
     Aggregate,
     Answer,
     AnswerKind,
@@ -19,6 +22,8 @@ from dcflow.query import (
     query_from_json,
     query_to_json,
 )
+
+from oracles import filter_rows_oracle
 
 
 def fig2_cleaned_table():
@@ -235,3 +240,90 @@ def test_row_permutation_invariance(seed):
     ]
     for q in queries:
         assert answers_equal(execute_purpose(q, t), execute_purpose(q, t2))
+
+
+# hoisted, memoised filters against the per-row loop they replaced ---------
+
+FILTER_TEXTS = [
+    "RESTAURANT", "restaurant", "Risk 1 (High)", "", " ", "42", " 42 ", "1,000",
+    "1000.", "-7.5", "+3", "2023-01-05", "2023/01/05", "01/05/2023", "Jan 5, 2023",
+    "5 January 2023", "2023-01-05T10:30:00Z", "12:30", "1:05 PM", "N/A", "4 2",
+]
+
+
+def _filter_cells():
+    instants = st.datetimes(
+        min_value=datetime(2022, 12, 30), max_value=datetime(2023, 1, 10)
+    ).map(lambda d: Cell.date(d.replace(microsecond=0, tzinfo=timezone.utc)))
+    return st.one_of(
+        st.sampled_from(FILTER_TEXTS).map(Cell.text),
+        st.text(alphabet="aZ1-/: ,.", max_size=6).map(Cell.text),
+        st.decimals(-50, 5000, places=1, allow_nan=False).map(Cell.number),
+        instants,
+        st.just(Cell.missing()),
+    )
+
+
+def _is_instant(cell):
+    if cell.kind is CellKind.DATE:
+        return True
+    return cell.kind is CellKind.TEXT and parse_date(cell.value) is not None
+
+
+def _same_filtering(table, filters):
+    """The row ids ``execute_purpose`` keeps are the ones the oracle keeps."""
+    q = QuerySpec(select=("id",), filters=tuple(filters))
+    if any(f.op in ("before", "after") and not _is_instant(f.value) for f in filters):
+        with pytest.raises(TypeMismatchError):
+            execute_purpose(q, table)
+        return
+    want = Answer.value_list([row[0] for row in filter_rows_oracle(q, table)])
+    got = execute_purpose(q, table)
+    assert answer_to_canonical_text(got) == answer_to_canonical_text(want)
+
+
+@pytest.mark.parametrize("op", COMPARATORS)
+@settings(max_examples=60, deadline=None)
+@given(cells=st.lists(_filter_cells(), max_size=25), literal=_filter_cells())
+def test_filter_matches_per_row_oracle(op, cells, literal):
+    table = Table.from_rows(
+        ["id", "v"], [[Cell.text(f"r{i}"), c] for i, c in enumerate(cells)]
+    )
+    _same_filtering(table, [Filter("v", op, literal)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(st.tuples(_filter_cells(), _filter_cells()), max_size=20),
+    filters=st.lists(
+        st.tuples(st.sampled_from(["a", "b"]), st.sampled_from(COMPARATORS), _filter_cells()),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_filter_conjunctions_match_per_row_oracle(rows, filters):
+    table = Table.from_rows(
+        ["id", "a", "b"], [[Cell.text(f"r{i}"), a, b] for i, (a, b) in enumerate(rows)]
+    )
+    _same_filtering(table, [Filter(c, op, v) for c, op, v in filters])
+
+
+def test_equality_filter_parses_each_distinct_text_once(monkeypatch):
+    import dcflow.query
+
+    calls = []
+    original = dcflow.query.parse_date
+
+    def counting(text, *args):
+        calls.append(text)
+        return original(text, *args)
+
+    monkeypatch.setattr(dcflow.query, "parse_date", counting)
+    texts = [f"2023-01-{d:02d}" for d in range(1, 6)] + [f"shop {k}" for k in range(5)]
+    table = Table.from_rows(
+        ["v"], [[Cell.text(texts[i % len(texts)])] for i in range(1000)]
+    )
+    q = QuerySpec(select=("v",), filters=(Filter("v", "=", Cell.text("2023-01-03")),))
+    answer = execute_purpose(q, table)
+    assert len(answer.values) == 100
+    assert len(calls) <= 11

@@ -44,6 +44,15 @@ def test_load_invalid_utf8():
         load_table(b"a,b\n\xff\xfe,2\n")
 
 
+def test_load_strips_leading_bom():
+    t = load_table(b"\xef\xbb\xbfa,b\n1,2\n")
+    assert t.columns == ("a", "b")
+    assert t.column_values("a") == (Cell.text("1"),)
+    # only a leading mark is dropped; one inside a field is data
+    inner = load_table(b"a,b\n\xef\xbb\xbf1,2\n")
+    assert inner.column_values("a") == (Cell.text("\ufeff1"),)
+
+
 def test_load_empty_fields_become_missing():
     t = load_table(b"a,b\n,x\n")
     assert t.rows[0][0].is_missing
