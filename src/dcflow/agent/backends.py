@@ -111,7 +111,10 @@ class ScriptedBackend(CompletionBackend):
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedBackend":
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            raise SchemaError("script", f"unreadable JSON ({exc})") from exc
         return cls.from_json(doc, name=Path(path).stem)
 
     @staticmethod

@@ -12,8 +12,8 @@ import logging
 import re
 from dataclasses import dataclass
 
-from ..errors import OverlappingEditError, ParseError
-from ..ops import MassEdit, MassEditSpec, OpKind
+from ..errors import ParseError, SchemaError
+from ..ops import MassEditSpec, OpKind
 from ..transform import TransformExpr, parse_transform_expr
 
 logger = logging.getLogger(__name__)
@@ -180,24 +180,9 @@ def parse_mass_edit_args(response: str) -> MassEditSpec | None:
     if snippet is None:
         return None
     try:
-        value = json.loads(snippet)
-    except json.JSONDecodeError:
-        return None
-    if not isinstance(value, list):
-        return None
-    edits = []
-    for item in value:
-        if (
-            not isinstance(item, dict)
-            or not isinstance(item.get("from"), list)
-            or not all(isinstance(v, str) for v in item.get("from", []))
-            or not isinstance(item.get("to"), str)
-        ):
-            return None
-        edits.append(MassEdit(tuple(item["from"]), item["to"]))
-    try:
-        return MassEditSpec(tuple(edits))
-    except OverlappingEditError as exc:
+        # ValueError covers malformed JSON and integers past Python's digit limit.
+        return MassEditSpec.from_json({"edits": json.loads(snippet)}, "args")
+    except (ValueError, SchemaError) as exc:
         logger.warning("rejected mass_edit arguments: %s", exc)
         return None
 

@@ -29,7 +29,7 @@ from ..errors import (
     ReplayError,
     SelectionError,
 )
-from ..ops import MassEditSpec, OpKind
+from ..ops import ARG_TYPES, MassEditSpec, OpKind
 from ..query import Purpose
 from ..table import Table
 from ..transform import TransformExpr
@@ -321,7 +321,7 @@ def generate_arguments(
     sampler: Optional[ColumnSampler] = None,
     history: Workflow = Workflow(),
 ) -> MassEditSpec | TransformExpr:
-    if op not in (OpKind.MASS_EDIT, OpKind.REGEXR_TRANSFORM):
+    if op not in ARG_TYPES:
         raise ValueError(f"{op.value} takes no generated arguments")
     trace = trace if trace is not None else Trace(backend.name)
     table.column_index(column)
@@ -399,7 +399,7 @@ def run_pipeline(
                     config, trace, sampler, workflow,
                 )
                 args: MassEditSpec | TransformExpr | None = None
-                if choice.op in (OpKind.MASS_EDIT, OpKind.REGEXR_TRANSFORM):
+                if choice.op in ARG_TYPES:
                     args = generate_arguments(
                         backend, current, column, choice.op, purpose.statement,
                         config, trace, sampler, workflow,

@@ -20,7 +20,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Mapping, Optional
 
-from .cells import Cell, CellKind, parse_number
+from .cells import Cell, CellKind, cell_number
 from .errors import (
     DcflowError,
     NoEligibleCellsError,
@@ -162,12 +162,6 @@ class ErrorLog:
 # ---------------------------------------------------------------------------
 # corruption families
 
-def _is_numeric_cell(cell: Cell) -> bool:
-    if cell.kind is CellKind.NUMBER:
-        return True
-    return cell.kind is CellKind.TEXT and parse_number(cell.value) is not None
-
-
 def _dup_variant_moves(text: str) -> list[str]:
     moves = []
     if any(text[i] != text[i + 1] for i in range(len(text) - 1)):
@@ -181,7 +175,7 @@ def _dup_variant_moves(text: str) -> list[str]:
 
 def _eligible(cell: Cell, family: ErrorFamily) -> bool:
     if family is ErrorFamily.TYPE_ERROR:
-        return _is_numeric_cell(cell)
+        return cell_number(cell) is not None
     if cell.kind is not CellKind.TEXT:
         return False
     text = cell.value
@@ -347,7 +341,8 @@ def _read_json(path: Path, label: str) -> Any:
         return json.loads(path.read_text(encoding="utf-8"), parse_float=Decimal)
     except FileNotFoundError:
         raise SchemaError(label, f"file not found: {path}") from None
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError covers bad JSON, bad UTF-8 and integers past Python's digit limit.
         raise SchemaError(label, f"unreadable JSON ({exc})") from exc
 
 

@@ -156,6 +156,24 @@ def parse_date(text: str, formats: Sequence[str] = DATE_FORMATS) -> Optional[dat
     return None
 
 
+def cell_number(cell: Cell) -> Optional[Decimal]:
+    """A number cell's value, or a text cell's under ``parse_number``."""
+    if cell.kind is CellKind.NUMBER:
+        return cell.value
+    if cell.kind is CellKind.TEXT:
+        return parse_number(cell.value)
+    return None
+
+
+def cell_instant(cell: Cell) -> Optional[datetime]:
+    """A date cell's instant, or a text cell's under ``parse_date``."""
+    if cell.kind is CellKind.DATE:
+        return cell.value
+    if cell.kind is CellKind.TEXT:
+        return parse_date(cell.value)
+    return None
+
+
 def format_date(dt: datetime) -> str:
     dt = dt.astimezone(timezone.utc)
     # strftime does not zero-pad years below 1000 on all platforms.

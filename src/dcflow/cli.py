@@ -120,7 +120,6 @@ def _clean_one(
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @click.option("--max-iters", type=int, default=8, show_default=True)
 @click.option("--sample-size", type=int, default=30, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True, help="Recorded in logs only.")
 @click.option("--jobs", type=int, default=1, show_default=True)
 def clean(
     case_path: Optional[str],
@@ -131,11 +130,9 @@ def clean(
     out_dir: str,
     max_iters: int,
     sample_size: int,
-    seed: int,
     jobs: int,
 ) -> None:
     """Generate a cleaning workflow for one case or a whole suite."""
-    del seed  # inputs are already deterministic; kept for interface parity
     config = PipelineConfig(max_iters_per_column=max_iters, sample_size=sample_size)
     out = Path(out_dir)
     try:

@@ -13,11 +13,11 @@ argument choices can express the same repair.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from difflib import SequenceMatcher
 from typing import Mapping, Optional, Sequence
 
-from .cells import Cell, CellKind, format_number, parse_number
+from .cells import Cell, cell_number, format_number
 from .errors import EmptyInputError, ShapeMismatchError
 from .query import Answer, AnswerKind, answer_to_canonical_text
 from .table import Table
@@ -41,12 +41,9 @@ def match_key(cell: Cell) -> tuple:
     dates by canonical instant; missing only matches missing."""
     if cell.is_missing:
         return ("missing",)
-    if cell.kind is CellKind.NUMBER:
-        return ("number", cell.value)
-    if cell.kind is CellKind.TEXT:
-        number = parse_number(cell.value)
-        if number is not None:
-            return ("number", number)
+    number = cell_number(cell)
+    if number is not None:
+        return ("number", number)
     return ("text", cell.render().lower())
 
 
@@ -197,10 +194,6 @@ class CaseResult:
     workflow: Optional[WorkflowScores] = None
 
 
-_ANSWER_METRICS = ("precision", "recall", "f1", "similarity")
-_WORKFLOW_METRICS = ("exact", "precision", "recall", "f1")
-
-
 @dataclass(frozen=True)
 class AggregateRow:
     system: str
@@ -221,23 +214,20 @@ def _mean(values: Sequence[float]) -> float:
     return sum(values) / len(values)
 
 
+def _means(scores: Sequence, names: Sequence[str]) -> dict[str, float]:
+    return {m: _mean([float(getattr(s, m)) for s in scores]) for m in names}
+
+
 def _aggregate_group(system: str, group: str, cases: Sequence[CaseResult]) -> AggregateRow:
-    answer = {
-        "exact": _mean([float(c.answer.exact) for c in cases]),
-        **{m: _mean([getattr(c.answer, m) for c in cases]) for m in _ANSWER_METRICS},
-    }
-    column_ratio = _mean([c.column.ratio for c in cases])
-    with_wf = [c for c in cases if c.workflow is not None]
-    workflow = None
-    if with_wf:
-        workflow = {
-            "exact": _mean([float(c.workflow.exact) for c in with_wf]),
-            **{
-                m: _mean([getattr(c.workflow, m) for c in with_wf])
-                for m in ("precision", "recall", "f1")
-            },
-        }
-    return AggregateRow(system, group, len(cases), answer, column_ratio, workflow)
+    with_wf = [c.workflow for c in cases if c.workflow is not None]
+    return AggregateRow(
+        system,
+        group,
+        len(cases),
+        _means([c.answer for c in cases], ("exact", "precision", "recall", "f1", "similarity")),
+        _mean([c.column.ratio for c in cases]),
+        _means(with_wf, ("exact", "precision", "recall", "f1")) if with_wf else None,
+    )
 
 
 def aggregate(cases: Sequence[CaseResult]) -> EvalReport:
@@ -264,52 +254,10 @@ def aggregate(cases: Sequence[CaseResult]) -> EvalReport:
 
 
 def report_to_json(report: EvalReport) -> dict:
+    """The report as JSON-ready dicts; keys follow the dataclass field order."""
     return {
-        "cases": [
-            {
-                "case_id": c.case_id,
-                "topic": c.topic,
-                "system": c.system,
-                "answer": {
-                    "exact": c.answer.exact,
-                    "precision": c.answer.precision,
-                    "recall": c.answer.recall,
-                    "f1": c.answer.f1,
-                    "similarity": c.answer.similarity,
-                },
-                "column": {"ratio": c.column.ratio, "per_column": c.column.per_column},
-                "workflow": None
-                if c.workflow is None
-                else {
-                    "exact": c.workflow.exact,
-                    "precision": c.workflow.precision,
-                    "recall": c.workflow.recall,
-                    "f1": c.workflow.f1,
-                    "pred_stats": {
-                        "list_length": c.workflow.pred_stats.list_length,
-                        "set_length": c.workflow.pred_stats.set_length,
-                        "counts": c.workflow.pred_stats.counts,
-                    },
-                    "gold_stats": {
-                        "list_length": c.workflow.gold_stats.list_length,
-                        "set_length": c.workflow.gold_stats.set_length,
-                        "counts": c.workflow.gold_stats.counts,
-                    },
-                },
-            }
-            for c in report.cases
-        ],
-        "aggregates": [
-            {
-                "system": r.system,
-                "group": r.group,
-                "n_cases": r.n_cases,
-                "answer": r.answer,
-                "column_ratio": r.column_ratio,
-                "workflow": r.workflow,
-            }
-            for r in report.rows
-        ],
+        "cases": [asdict(c) for c in report.cases],
+        "aggregates": [asdict(r) for r in report.rows],
     }
 
 

@@ -12,10 +12,10 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from .cells import Cell, CellKind, parse_date, parse_number
-from .errors import OverlappingEditError
+from .errors import OverlappingEditError, SchemaError
 from .table import Table
 from .transform import TransformExpr, eval_transform_expr
 
@@ -29,9 +29,6 @@ class OpKind(Enum):
     DATE = "date"
     MASS_EDIT = "mass_edit"
     REGEXR_TRANSFORM = "regexr_transform"
-
-
-OP_NAMES = tuple(op.value for op in OpKind)
 
 
 @dataclass(frozen=True)
@@ -64,6 +61,32 @@ class MassEditSpec:
     def of(cls, edits: Sequence[tuple[Sequence[str], str]]) -> "MassEditSpec":
         return cls(tuple(MassEdit(tuple(f), t) for f, t in edits))
 
+    @classmethod
+    def from_json(cls, raw: Any, path: str) -> "MassEditSpec":
+        """Parse ``{"edits": [{"from": [str], "to": str}, ...]}``."""
+        if not isinstance(raw, dict) or "edits" not in raw:
+            raise SchemaError(path, "mass_edit requires an 'edits' argument object")
+        edits = raw["edits"]
+        if not isinstance(edits, list):
+            raise SchemaError(f"{path}.edits", "must be a list")
+        parsed = []
+        for i, e in enumerate(edits):
+            if (
+                not isinstance(e, dict)
+                or not isinstance(e.get("from"), list)
+                or not all(isinstance(v, str) for v in e.get("from", []))
+                or not isinstance(e.get("to"), str)
+            ):
+                raise SchemaError(f"{path}.edits[{i}]", "must be {'from': [str], 'to': str}")
+            parsed.append(MassEdit(tuple(e["from"]), e["to"]))
+        try:
+            return cls(tuple(parsed))
+        except OverlappingEditError as exc:
+            raise SchemaError(f"{path}.edits", str(exc)) from exc
+
+    def to_json(self) -> dict:
+        return {"edits": [{"from": list(e.from_values), "to": e.to} for e in self.edits]}
+
     def mapping(self) -> dict[str, str]:
         out: dict[str, str] = {}
         for edit in self.edits:
@@ -72,31 +95,31 @@ class MassEditSpec:
         return out
 
 
+ARG_TYPES: dict[OpKind, type] = {
+    OpKind.MASS_EDIT: MassEditSpec,
+    OpKind.REGEXR_TRANSFORM: TransformExpr,
+}
+
+
 def _map_column(table: Table, column: str, fn: Callable[[Cell], Cell]) -> Table:
     values = table.column_values(column)
     return table.replace_column(column, [fn(cell) for cell in values])
 
 
+def _map_text(table: Table, column: str, fn: Callable[[str], str]) -> Table:
+    return _map_column(
+        table, column, lambda cell: Cell.text(fn(cell.value)) if cell.kind is CellKind.TEXT else cell
+    )
+
+
 def apply_upper(table: Table, column: str) -> Table:
     """Uppercase every text cell in the column; other kinds pass through."""
-
-    def fn(cell: Cell) -> Cell:
-        if cell.kind is CellKind.TEXT:
-            return Cell.text(cell.value.upper())
-        return cell
-
-    return _map_column(table, column, fn)
+    return _map_text(table, column, str.upper)
 
 
 def apply_trim(table: Table, column: str) -> Table:
     """Strip leading/trailing Unicode whitespace (incl. non-breaking space)."""
-
-    def fn(cell: Cell) -> Cell:
-        if cell.kind is CellKind.TEXT:
-            return Cell.text(cell.value.strip())
-        return cell
-
-    return _map_column(table, column, fn)
+    return _map_text(table, column, str.strip)
 
 
 def apply_numeric(table: Table, column: str) -> Table:

@@ -28,7 +28,7 @@ from decimal import Decimal
 from enum import Enum
 from typing import Any, Callable, Mapping, Optional, Sequence
 
-from .cells import Cell, CellKind, format_number, parse_date, parse_number
+from .cells import Cell, CellKind, cell_instant, cell_number, format_number, parse_date
 from .errors import SchemaError, TypeMismatchError
 from .table import Table
 
@@ -94,6 +94,18 @@ class QuerySpec:
     order: Optional[Order] = None
     limit: Optional[int] = None
 
+    def __post_init__(self):
+        """The rules that need no table; ``execute_purpose`` checks the rest."""
+        agg = self.aggregate
+        if agg is not None and agg.fn in ("argmax_by", "argmin_by"):
+            if self.group_by is not None:
+                raise ValueError(f"{agg.fn} does not combine with group_by")
+            if not self.select:
+                raise ValueError(f"{agg.fn} requires a select column")
+        order_by = self.order.by if self.order is not None else None
+        if agg is None and order_by is not None and order_by not in self.select:
+            raise ValueError(f"order.by {order_by!r} is not a select column")
+
 
 class AnswerKind(Enum):
     SCALAR = "scalar"
@@ -134,22 +146,6 @@ class Purpose:
 # ---------------------------------------------------------------------------
 # execution
 
-def _cell_number(cell: Cell) -> Optional[Decimal]:
-    if cell.kind is CellKind.NUMBER:
-        return cell.value
-    if cell.kind is CellKind.TEXT:
-        return parse_number(cell.value)
-    return None
-
-
-def _cell_instant(cell: Cell):
-    if cell.kind is CellKind.DATE:
-        return cell.value
-    if cell.kind is CellKind.TEXT:
-        return parse_date(cell.value)
-    return None
-
-
 def _row_test(f: Filter, table: Table) -> Callable[[tuple[Cell, ...]], bool]:
     """The test ``f`` applies to each row of ``table``.
 
@@ -160,19 +156,19 @@ def _row_test(f: Filter, table: Table) -> Callable[[tuple[Cell, ...]], bool]:
     j = table.column_index(f.column)
     op = f.op
     lit_text = f.value.render()
-    lit_number = _cell_number(f.value)
-    lit_instant = _cell_instant(f.value)
+    lit_number = cell_number(f.value)
+    lit_instant = cell_instant(f.value)
     lit_is_text = f.value.kind is CellKind.TEXT
 
     def compare(cell: Cell) -> Optional[int]:
         """Three-way comparison of ``cell`` with the literal in the first
         domain both coerce to, number then instant; None if neither."""
         if lit_number is not None:
-            n = _cell_number(cell)
+            n = cell_number(cell)
             if n is not None:
                 return (n > lit_number) - (n < lit_number)
         if lit_instant is not None:
-            d = _cell_instant(cell)
+            d = cell_instant(cell)
             if d is not None:
                 return (d > lit_instant) - (d < lit_instant)
         return None
@@ -183,7 +179,7 @@ def _row_test(f: Filter, table: Table) -> Callable[[tuple[Cell, ...]], bool]:
         if op == "contains":
             return lit_text in cell.render()
         if op in ("before", "after"):
-            got = _cell_instant(cell)
+            got = cell_instant(cell)
             if lit_instant is None or got is None:
                 return False
             return got < lit_instant if op == "before" else got > lit_instant
@@ -217,7 +213,7 @@ def _validate_query(q: QuerySpec, table: Table) -> None:
         table.column_index(name)
     for f in q.filters:
         table.column_index(f.column)
-        if f.op in ("before", "after") and _cell_instant(f.value) is None:
+        if f.op in ("before", "after") and cell_instant(f.value) is None:
             raise TypeMismatchError(f.column, f.op)
     if q.group_by is not None:
         table.column_index(q.group_by)
@@ -225,17 +221,12 @@ def _validate_query(q: QuerySpec, table: Table) -> None:
         table.column_index(q.aggregate.column)
     if q.order is not None and q.order.by is not None:
         table.column_index(q.order.by)
-    if q.aggregate is not None and q.aggregate.fn in ("argmax_by", "argmin_by"):
-        if q.group_by is not None:
-            raise ValueError(f"{q.aggregate.fn} does not combine with group_by")
-        if not q.select:
-            raise ValueError(f"{q.aggregate.fn} requires a select column")
 
 
 def _order_domain(values: Sequence[Cell]):
     """Sort keys for min/max-style ordering; None where a value is outside
     the domain (mixed content falls back to rendered text)."""
-    numbers = [_cell_number(v) for v in values]
+    numbers = [cell_number(v) for v in values]
     if values and all(n is not None for n in numbers):
         return numbers
     if values and all(v.kind is CellKind.DATE for v in values):
@@ -244,7 +235,7 @@ def _order_domain(values: Sequence[Cell]):
 
 
 def _extreme_cell(values: Sequence[Cell], biggest: bool) -> Cell:
-    numbers = [_cell_number(v) for v in values]
+    numbers = [cell_number(v) for v in values]
     usable = [n for n in numbers if n is not None]
     if usable:
         return Cell.number(max(usable) if biggest else min(usable))
@@ -268,7 +259,7 @@ def _aggregate_cell(agg: Aggregate, rows: Sequence[tuple[Cell, ...]], table: Tab
         return Cell.missing()
     if agg.fn in ("min", "max"):
         return _extreme_cell(values, biggest=agg.fn == "max")
-    numbers = [n for n in (_cell_number(v) for v in values) if n is not None]
+    numbers = [n for n in (cell_number(v) for v in values) if n is not None]
     if not numbers:
         return Cell.missing()
     total = sum(numbers, Decimal(0))
@@ -384,6 +375,14 @@ def answers_equal(a: Answer, b: Answer) -> bool:
 # ---------------------------------------------------------------------------
 # JSON forms (used inside benchmark manifests)
 
+def _number_cell(d: Decimal, path: str) -> Cell:
+    # Cells render without exponent notation, so the exponent is bounded:
+    # {"number": "1e5000000"} would render as a 5 MB string.
+    if not d.is_finite() or abs(d.adjusted()) > 1000:
+        raise SchemaError(path, "number must be finite with an exponent within ±1000")
+    return Cell.number(d)
+
+
 def _cell_from_json(raw: Any, path: str) -> Cell:
     if raw is None:
         return Cell.missing()
@@ -392,9 +391,9 @@ def _cell_from_json(raw: Any, path: str) -> Cell:
     if isinstance(raw, str):
         return Cell.text(raw)
     if isinstance(raw, (int, Decimal)):
-        return Cell.number(Decimal(raw))
+        return _number_cell(Decimal(raw), path)
     if isinstance(raw, float):
-        return Cell.number(Decimal(str(raw)))
+        return _number_cell(Decimal(str(raw)), path)
     if isinstance(raw, dict) and isinstance(raw.get("date"), str):
         dt = parse_date(raw["date"])
         if dt is None:
@@ -402,9 +401,10 @@ def _cell_from_json(raw: Any, path: str) -> Cell:
         return Cell.date(dt)
     if isinstance(raw, dict) and isinstance(raw.get("number"), str):
         try:
-            return Cell.number(Decimal(raw["number"]))
+            number = Decimal(raw["number"])
         except ArithmeticError:
             raise SchemaError(path, f"unparseable number {raw['number']!r}") from None
+        return _number_cell(number, path)
     raise SchemaError(path, f"not a cell value: {raw!r}")
 
 
@@ -440,7 +440,10 @@ def query_from_json(raw: Any, path: str = "query") -> QuerySpec:
         a = raw["aggregate"]
         if not isinstance(a, dict) or a.get("fn") not in AGGREGATE_FNS:
             raise SchemaError(f"{path}.aggregate", "must be {'fn', 'column'} with a known fn")
-        aggregate = Aggregate(a["fn"], a.get("column"))
+        try:
+            aggregate = Aggregate(a["fn"], a.get("column"))
+        except ValueError as exc:
+            raise SchemaError(f"{path}.aggregate", str(exc)) from None
     order = None
     if raw.get("order") is not None:
         o = raw["order"]
@@ -453,15 +456,18 @@ def query_from_json(raw: Any, path: str = "query") -> QuerySpec:
     limit = raw.get("limit")
     if limit is not None and not isinstance(limit, int):
         raise SchemaError(f"{path}.limit", "must be an integer or null")
-    return QuerySpec(
-        select=tuple(select),
-        filters=tuple(filters),
-        group_by=group_by,
-        aggregate=aggregate,
-        distinct=bool(raw.get("distinct", False)),
-        order=order,
-        limit=limit,
-    )
+    try:
+        return QuerySpec(
+            select=tuple(select),
+            filters=tuple(filters),
+            group_by=group_by,
+            aggregate=aggregate,
+            distinct=bool(raw.get("distinct", False)),
+            order=order,
+            limit=limit,
+        )
+    except ValueError as exc:
+        raise SchemaError(path, str(exc)) from None
 
 
 def query_to_json(q: QuerySpec) -> dict:
@@ -543,13 +549,3 @@ def purpose_from_json(raw: Any, path: str = "purpose") -> Purpose:
         gold_answer=answer_from_json(raw.get("gold_answer"), f"{path}.gold_answer"),
     )
 
-
-def purpose_to_json(p: Purpose) -> dict:
-    return {
-        "id": p.id,
-        "statement": p.statement,
-        "category": p.category.value,
-        "target_columns": list(p.target_columns_gold),
-        "query": query_to_json(p.query),
-        "gold_answer": answer_to_json(p.gold_answer),
-    }

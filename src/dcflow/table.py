@@ -76,12 +76,6 @@ class Table:
         return replace(self, rows=new_rows)
 
 
-@dataclass(frozen=True)
-class ColumnView:
-    name: str
-    values: tuple[Cell, ...]
-
-
 def load_table(
     data: bytes,
     *,
@@ -107,17 +101,9 @@ def load_table(
     else:
         columns = [f"c{i + 1}" for i in range(len(records[0]))]
         body = records
-    seen = set()
-    for name in columns:
-        if name in seen:
-            raise DuplicateColumnError(name)
-        seen.add(name)
-    rows = []
-    for i, record in enumerate(body):
-        if len(record) != len(columns):
-            raise RowArityError(i + 1, len(columns), len(record))
-        rows.append(tuple(MISSING if f == "" else Cell.text(f) for f in record))
-    return Table(tuple(columns), tuple(rows), provenance)
+    # Table checks the column names and each row's width.
+    rows = tuple(tuple(MISSING if f == "" else Cell.text(f) for f in record) for record in body)
+    return Table(tuple(columns), rows, provenance)
 
 
 def table_to_csv(table: Table, *, delimiter: str = ",") -> bytes:
@@ -128,7 +114,3 @@ def table_to_csv(table: Table, *, delimiter: str = ",") -> bytes:
     for row in table.rows:
         writer.writerow([cell.render() for cell in row])
     return buf.getvalue().encode("utf-8")
-
-
-def get_column(table: Table, name: str) -> ColumnView:
-    return ColumnView(name, table.column_values(name))

@@ -26,9 +26,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import Any
 
 from .cells import Cell, CellKind
-from .errors import ParseError
+from .errors import ParseError, SchemaError
 
 PREFIX = "jython:"
 
@@ -79,6 +80,19 @@ class TransformExpr:
     search_pattern: str | None
     conditional_group: int | None
     fallback: ReturnExpr | None
+
+    @classmethod
+    def from_json(cls, raw: Any, path: str) -> "TransformExpr":
+        """Parse ``{"expression": "<snippet>"}``."""
+        if not isinstance(raw, dict) or not isinstance(raw.get("expression"), str):
+            raise SchemaError(path, "regexr_transform requires an 'expression' argument")
+        try:
+            return parse_transform_expr(raw["expression"])
+        except ParseError as exc:
+            raise SchemaError(f"{path}.expression", str(exc)) from exc
+
+    def to_json(self) -> dict:
+        return {"expression": self.source}
 
 
 def _unquote(qs: str) -> str:
@@ -260,10 +274,3 @@ def eval_transform_expr(expr: TransformExpr, cell: Cell) -> Cell:
     if fb.kind is ReturnKind.UPPER:
         return Cell.text(value.upper())
     return Cell.text(value.lower())
-
-
-IDENTITY_SOURCE = "jython: return value"
-
-
-def identity_transform() -> TransformExpr:
-    return parse_transform_expr(IDENTITY_SOURCE)

@@ -9,12 +9,13 @@ schema version ``dcflow/1``.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable
+from typing import Any
 
-from .errors import DcflowError, OverlappingEditError, ParseError, ReplayError, SchemaError
+from .errors import DcflowError, ReplayError, SchemaError
 from .ops import (
-    MassEdit,
+    ARG_TYPES,
     MassEditSpec,
     OpKind,
     apply_date,
@@ -25,11 +26,9 @@ from .ops import (
     apply_upper,
 )
 from .table import Table
-from .transform import TransformExpr, parse_transform_expr
+from .transform import TransformExpr
 
 SCHEMA_VERSION = "dcflow/1"
-
-_ARGLESS = (OpKind.UPPER, OpKind.TRIM, OpKind.NUMERIC, OpKind.DATE)
 
 
 @dataclass(frozen=True)
@@ -43,15 +42,16 @@ class OpSpec:
     step_index: int = 0
 
     def __post_init__(self):
-        if self.op in _ARGLESS and self.args is not None:
+        arg_type = ARG_TYPES.get(self.op)
+        if arg_type is None and self.args is not None:
             raise ValueError(f"{self.op.value} takes no arguments")
-        if self.op is OpKind.MASS_EDIT and not isinstance(self.args, MassEditSpec):
-            raise ValueError("mass_edit requires a MassEditSpec")
-        if self.op is OpKind.REGEXR_TRANSFORM and not isinstance(self.args, TransformExpr):
-            raise ValueError("regexr_transform requires a TransformExpr")
+        if arg_type is not None and not isinstance(self.args, arg_type):
+            raise ValueError(f"{self.op.value} requires a {arg_type.__name__}")
 
 
 def apply_step(table: Table, step: OpSpec) -> Table:
+    # Calls go through this module's ``apply_*`` globals, so a wrapper put in
+    # place of one of them sees every call; a table of the functions would not.
     if step.op is OpKind.UPPER:
         return apply_upper(table, step.column)
     if step.op is OpKind.TRIM:
@@ -115,16 +115,6 @@ def replay(workflow: Workflow, table: Table) -> History:
     return History(tuple(tables))
 
 
-def op_counts(steps: Iterable[OpSpec]) -> dict[str, int]:
-    steps = tuple(steps)
-    counts: dict[str, int] = {}
-    for op in OpKind:
-        n = sum(1 for s in steps if s.op is op)
-        if n:
-            counts[op.value] = n
-    return counts
-
-
 @dataclass(frozen=True)
 class OpStats:
     list_length: int
@@ -133,20 +123,10 @@ class OpStats:
 
 
 def op_stats(workflow: Workflow) -> OpStats:
-    counts = op_counts(workflow.steps)
+    """Step count, distinct-op count, and per-op counts in ``OpKind`` order."""
+    tally = Counter(s.op for s in workflow.steps)
+    counts = {op.value: tally[op] for op in OpKind if tally[op]}
     return OpStats(len(workflow.steps), len(counts), counts)
-
-
-def _args_to_json(step: OpSpec) -> Any:
-    if step.args is None:
-        return None
-    if isinstance(step.args, MassEditSpec):
-        return {
-            "edits": [
-                {"from": list(e.from_values), "to": e.to} for e in step.args.edits
-            ]
-        }
-    return {"expression": step.args.source}
 
 
 def serialize(workflow: Workflow) -> bytes:
@@ -159,7 +139,7 @@ def serialize(workflow: Workflow) -> bytes:
                 "index": s.step_index,
                 "op": s.op.value,
                 "column": s.column,
-                "args": _args_to_json(s),
+                "args": None if s.args is None else s.args.to_json(),
                 "rationale": s.rationale,
             }
             for s in workflow.steps
@@ -169,36 +149,10 @@ def serialize(workflow: Workflow) -> bytes:
 
 
 def _parse_args(op: OpKind, raw: Any, path: str) -> MassEditSpec | TransformExpr | None:
-    if op is OpKind.MASS_EDIT:
-        if not isinstance(raw, dict) or "edits" not in raw:
-            raise SchemaError(path, "mass_edit requires an 'edits' argument object")
-        edits = raw["edits"]
-        if not isinstance(edits, list):
-            raise SchemaError(f"{path}.edits", "must be a list")
-        parsed = []
-        for i, e in enumerate(edits):
-            if (
-                not isinstance(e, dict)
-                or not isinstance(e.get("from"), list)
-                or not all(isinstance(v, str) for v in e.get("from", []))
-                or not isinstance(e.get("to"), str)
-            ):
-                raise SchemaError(f"{path}.edits[{i}]", "must be {'from': [str], 'to': str}")
-            parsed.append(MassEdit(tuple(e["from"]), e["to"]))
-        try:
-            return MassEditSpec(tuple(parsed))
-        except OverlappingEditError as exc:
-            raise SchemaError(f"{path}.edits", str(exc)) from exc
-    if op is OpKind.REGEXR_TRANSFORM:
-        if not isinstance(raw, dict) or not isinstance(raw.get("expression"), str):
-            raise SchemaError(path, "regexr_transform requires an 'expression' argument")
-        try:
-            return parse_transform_expr(raw["expression"])
-        except ParseError as exc:
-            raise SchemaError(f"{path}.expression", str(exc)) from exc
-    if raw is not None:
+    arg_type = ARG_TYPES.get(op)
+    if arg_type is None and raw is not None:
         raise SchemaError(path, f"{op.value} takes no arguments")
-    return None
+    return None if arg_type is None else arg_type.from_json(raw, path)
 
 
 def deserialize(data: bytes) -> Workflow:

@@ -6,8 +6,8 @@ own equivalence test for the column ratio, recursive maximum matching for
 multiset overlap, and small independent parsers for numbers/whitespace.
 
 The last section keeps the straightforward versions of code that was since
-rewritten for speed (error injection, query filters), verbatim, so the
-rewrites can be checked against them.
+rewritten for speed or brevity (error injection, query filters, the eval
+report's JSON form), verbatim, so the rewrites can be checked against them.
 """
 
 from __future__ import annotations
@@ -269,3 +269,55 @@ def filter_rows_oracle(query, table):
         for row in table.rows
         if all(_filter_matches(f, row[table.column_index(f.column)]) for f in query.filters)
     ]
+
+
+def report_to_json_oracle(report) -> dict:
+    """``evaluation.report_to_json`` as it was written out by hand, field by
+    field, before it became ``dataclasses.asdict``."""
+    return {
+        "cases": [
+            {
+                "case_id": c.case_id,
+                "topic": c.topic,
+                "system": c.system,
+                "answer": {
+                    "exact": c.answer.exact,
+                    "precision": c.answer.precision,
+                    "recall": c.answer.recall,
+                    "f1": c.answer.f1,
+                    "similarity": c.answer.similarity,
+                },
+                "column": {"ratio": c.column.ratio, "per_column": c.column.per_column},
+                "workflow": None
+                if c.workflow is None
+                else {
+                    "exact": c.workflow.exact,
+                    "precision": c.workflow.precision,
+                    "recall": c.workflow.recall,
+                    "f1": c.workflow.f1,
+                    "pred_stats": {
+                        "list_length": c.workflow.pred_stats.list_length,
+                        "set_length": c.workflow.pred_stats.set_length,
+                        "counts": c.workflow.pred_stats.counts,
+                    },
+                    "gold_stats": {
+                        "list_length": c.workflow.gold_stats.list_length,
+                        "set_length": c.workflow.gold_stats.set_length,
+                        "counts": c.workflow.gold_stats.counts,
+                    },
+                },
+            }
+            for c in report.cases
+        ],
+        "aggregates": [
+            {
+                "system": r.system,
+                "group": r.group,
+                "n_cases": r.n_cases,
+                "answer": r.answer,
+                "column_ratio": r.column_ratio,
+                "workflow": r.workflow,
+            }
+            for r in report.rows
+        ],
+    }

@@ -38,6 +38,7 @@ from dcflow.errors import (
     InspectionError,
     OpChoiceError,
     ReplayError,
+    SchemaError,
     SelectionError,
     TypeMismatchError,
 )
@@ -141,6 +142,12 @@ def test_parse_mass_edit_args_rejects_overlap():
         parse_mass_edit_args('[{"from": ["x"], "to": "y"}, {"from": ["x"], "to": "z"}]')
         is None
     )
+
+
+def test_parse_mass_edit_args_rejects_malformed_json():
+    assert parse_mass_edit_args('[{"from": ["x"], "to": "y"}') is None
+    assert parse_mass_edit_args('[{"from": ["x"], "to": "y"}, ' + "9" * 5000 + "]") is None
+    assert parse_mass_edit_args('[{"from": "x", "to": "y"}]') is None
 
 
 def test_parse_transform_args_strips_fences():
@@ -339,6 +346,19 @@ def test_scripted_backend_exhaustion_becomes_stage_error():
     backend = scripted()
     with pytest.raises(SelectionError):
         select_target_columns(backend, demo_table(), "p")
+
+
+
+@pytest.mark.parametrize(
+    "payload", [b"{not json", b"\xff\xfe", None], ids=["bad-json", "bad-utf8", "missing"]
+)
+def test_scripted_backend_from_unreadable_file_is_schema_error(tmp_path, payload):
+    path = tmp_path / "script.json"
+    if payload is not None:
+        path.write_bytes(payload)
+    with pytest.raises(SchemaError) as exc:
+        ScriptedBackend.from_file(path)
+    assert exc.value.path == "script"
 
 
 # full pipeline -----------------------------------------------------------

@@ -307,3 +307,16 @@ def test_injection_judges_each_cell_once_per_family(monkeypatch, rate):
     _, log = inject_errors(t, profile(rate, seed=4))
     assert len(log.entries) == int(rate * 80 + 0.5)
     assert len(calls) <= len(FAMILIES) * t.n_rows * 2
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [b"{not json", b"\xff\xfe not utf-8", b'{"purpose": ' + b"9" * 5000 + b"}"],
+    ids=["bad-json", "bad-utf8", "5000-digit-int"],
+)
+def test_load_case_malformed_json_is_schema_error(tmp_path, payload):
+    p = tmp_path / "case.json"
+    p.write_bytes(payload)
+    with pytest.raises(SchemaError) as exc:
+        load_case(p)
+    assert exc.value.path == "manifest"

@@ -294,3 +294,32 @@ def test_bom_prefixed_csvs_validate_and_replay(runner, tmp_path):
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
     assert outputs[1].startswith(b"Inspection ID,")
+
+
+def test_validate_reports_a_bad_query_shape(runner, tmp_path):
+    case_dir = tmp_path / "menu"
+    shutil.copytree(CASES / "menu", case_dir)
+    manifest = case_dir / "case.json"
+    doc = json.loads(manifest.read_text())
+    doc["purpose"]["query"] = {
+        "select": ["event"],
+        "group_by": "event",
+        "aggregate": {"fn": "argmax_by", "column": "event"},
+    }
+    manifest.write_text(json.dumps(doc))
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"cases": [{"path": "menu/case.json", "topic": "menu"}]}))
+    result = invoke(runner, "validate", "--suite", str(suite))
+    assert result.exit_code == 1
+    assert "purpose.query: argmax_by does not combine with group_by" in result.output
+
+
+def test_clean_with_malformed_script_exits_1(runner, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    result = invoke(
+        runner, "clean", "--case", str(CASES / "cfi" / "case_a.json"),
+        "--backend", f"scripted:{bad}", "--out", str(tmp_path / "out"),
+    )
+    assert result.exit_code == 1
+    assert "error: script: unreadable JSON" in result.output

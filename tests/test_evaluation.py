@@ -374,3 +374,36 @@ def test_report_renderers_run():
     assert "case_id" in per_case_csv(report)
     csv_text = op_stats_csv({"c1/silver": op_stats(silver_cfi_workflow())})
     assert "c1/silver,8,6" in csv_text
+
+
+def test_report_to_json_matches_field_by_field_oracle(tmp_path):
+    import json
+
+    from dcflow import load_case, load_suite, serialize
+    from dcflow.cli import _eval_case
+    from dcflow.data import bundled_suite_path
+    from dcflow.evaluation import report_to_json
+
+    from oracles import report_to_json_oracle
+
+    # Gold tables as the cleaned output; every other case drops its last
+    # silver step so the workflow scores and op counts differ.
+    results = []
+    for k, entry in enumerate(load_suite(bundled_suite_path())):
+        case = load_case(entry.path)
+        steps = case.silver_workflow.steps
+        predicted = Workflow(steps[:-1] if k % 2 else steps, case.silver_workflow.source_table_id)
+        d = tmp_path / case.purpose.id
+        d.mkdir()
+        (d / "cleaned.csv").write_bytes((entry.path.parent / "gold.csv").read_bytes())
+        (d / "workflow.json").write_bytes(serialize(predicted))
+        scored, findings = _eval_case(case, entry.topic, tmp_path)
+        assert not findings
+        results.extend(scored)
+    assert len(results) == 16
+    report = aggregate(results)
+
+    def dump(doc):
+        return json.dumps(doc, ensure_ascii=False, indent=2)
+
+    assert dump(report_to_json(report)) == dump(report_to_json_oracle(report))

@@ -1,3 +1,4 @@
+import json
 import random
 from datetime import datetime, timezone
 from decimal import Decimal
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from dcflow import Cell, Table, answer_to_canonical_text, answers_equal, execute_purpose
 from dcflow.cells import CellKind, parse_date
-from dcflow.errors import TypeMismatchError, UnknownColumnError
+from dcflow.errors import SchemaError, TypeMismatchError, UnknownColumnError
 from dcflow.query import (
     COMPARATORS,
     Aggregate,
@@ -327,3 +328,64 @@ def test_equality_filter_parses_each_distinct_text_once(monkeypatch):
     answer = execute_purpose(q, table)
     assert len(answer.values) == 100
     assert len(calls) <= 11
+
+
+# query shapes rejected at load time ----------------------------------------
+
+BAD_SHAPES = [
+    ({"select": [], "aggregate": {"fn": "max"}}, "query.aggregate", "max requires a column"),
+    (
+        {"select": ["a"], "aggregate": {"fn": "argmax_by", "column": "b"}, "group_by": "a"},
+        "query",
+        "argmax_by does not combine with group_by",
+    ),
+    (
+        {"select": [], "aggregate": {"fn": "argmin_by", "column": "b"}},
+        "query",
+        "argmin_by requires a select column",
+    ),
+    (
+        {"select": ["a"], "order": {"by": "b"}},
+        "query",
+        "order.by 'b' is not a select column",
+    ),
+]
+
+
+@pytest.mark.parametrize("raw, path, reason", BAD_SHAPES)
+def test_query_from_json_rejects_bad_shapes(raw, path, reason):
+    with pytest.raises(SchemaError) as exc:
+        query_from_json(raw)
+    assert (exc.value.path, exc.value.reason) == (path, reason)
+
+
+def test_queryspec_rejects_bad_shapes():
+    with pytest.raises(ValueError):
+        QuerySpec(select=("a",), group_by="a", aggregate=Aggregate("argmax_by", "b"))
+    with pytest.raises(ValueError):
+        QuerySpec(aggregate=Aggregate("argmax_by", "b"))
+    with pytest.raises(ValueError):
+        QuerySpec(select=("a",), order=Order(by="b"))
+    # An aggregate ignores ``order``, so its ``by`` need not be selected.
+    QuerySpec(aggregate=Aggregate("count"), order=Order(by="b"))
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"number": "1e5000000"},
+        {"number": "-1e-1001"},
+        {"number": "NaN"},
+        json.loads('1e5000000', parse_float=Decimal),
+        json.loads('{"v": 1E-1001}', parse_float=Decimal)["v"],
+    ],
+)
+def test_cell_json_rejects_unbounded_numbers(raw):
+    with pytest.raises(SchemaError) as exc:
+        answer_from_json({"type": "scalar", "value": raw})
+    assert exc.value.path == "answer.value"
+
+
+def test_cell_json_accepts_exponents_up_to_the_bound():
+    answer = answer_from_json({"type": "list", "values": [{"number": "1e1000"}, {"number": "1e-1000"}]})
+    assert [len(c.render()) for c in answer.values] == [1001, 1002]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dcflow import Cell, Table, get_column, load_table, table_to_csv
+from dcflow import Cell, Table, load_table, table_to_csv
 from dcflow.errors import (
     DuplicateColumnError,
     EmptyInputError,
@@ -65,21 +65,21 @@ def test_load_without_header_names_columns():
     assert t.n_rows == 2
 
 
-def test_get_column_quality_demo(quality_demo_table):
-    view = get_column(quality_demo_table, "City")
-    rendered = [c.render() if not c.is_missing else None for c in view.values]
+def test_column_values_quality_demo(quality_demo_table):
+    values = quality_demo_table.column_values("City")
+    rendered = [c.render() if not c.is_missing else None for c in values]
     assert rendered == ["Honolulu", "Honolulu", "Honolulu", None, "Urbana", "Chicago", "Champaign"]
 
 
-def test_get_column_unknown():
+def test_column_values_unknown():
     t = load_table(b"a\nx\n")
     with pytest.raises(UnknownColumnError):
-        get_column(t, "Nope")
+        t.column_values("Nope")
 
 
-def test_get_column_empty_rows():
+def test_column_values_empty_rows():
     t = load_table(b"a\n")
-    assert get_column(t, "a").values == ()
+    assert t.column_values("a") == ()
 
 
 def test_constructor_enforces_rectangularity():

@@ -5,7 +5,6 @@ from dcflow.errors import ParseError
 from dcflow.transform import (
     ReturnKind,
     eval_transform_expr,
-    identity_transform,
     parse_transform_expr,
 )
 
@@ -141,6 +140,6 @@ def test_double_quoted_patterns_accepted():
     assert expr.search_pattern == r"\d+"
 
 
-def test_identity_helper_is_identity():
+def test_return_value_snippet_is_identity():
     cell = Cell.text("x")
-    assert eval_transform_expr(identity_transform(), cell) is cell
+    assert eval_transform_expr(parse_transform_expr("jython: return value"), cell) is cell

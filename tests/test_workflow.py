@@ -204,3 +204,111 @@ def test_replay_deterministic_in_process(seed):
     a = replay(wf, table)
     b = replay(wf, table)
     assert a == b
+
+
+def _one_step_doc(op: str, args) -> bytes:
+    step = {"index": 1, "op": op, "column": "a", "args": args, "rationale": None}
+    return json.dumps({"version": "dcflow/1", "steps": [step]}).encode()
+
+
+_GRAMMAR = (
+    "parse error at offset 8: expected 'import re', 'match = re.search(...)', "
+    "'if match: return match.group(k)' or 'return <expr>'"
+)
+
+
+@pytest.mark.parametrize(
+    "op, args, path, reason",
+    [
+        ("upper", {"edits": []}, "steps[0].args", "upper takes no arguments"),
+        ("trim", "x", "steps[0].args", "trim takes no arguments"),
+        ("mass_edit", {}, "steps[0].args", "mass_edit requires an 'edits' argument object"),
+        ("mass_edit", None, "steps[0].args", "mass_edit requires an 'edits' argument object"),
+        (
+            "regexr_transform",
+            {},
+            "steps[0].args",
+            "regexr_transform requires an 'expression' argument",
+        ),
+        ("mass_edit", {"edits": "x"}, "steps[0].args.edits", "must be a list"),
+        (
+            "mass_edit",
+            {"edits": [{"from": "a", "to": "b"}]},
+            "steps[0].args.edits[0]",
+            "must be {'from': [str], 'to': str}",
+        ),
+        (
+            "mass_edit",
+            {"edits": [{"from": ["a"], "to": "b"}, {"from": ["a"], "to": "c"}]},
+            "steps[0].args.edits",
+            "'a' appears in more than one 'from' list",
+        ),
+        (
+            "mass_edit",
+            {"edits": [{"from": [], "to": "b"}]},
+            "steps[0].args.edits",
+            "edit 0 has an empty 'from' list",
+        ),
+        (
+            "regexr_transform",
+            {"expr": "jython: return value"},
+            "steps[0].args",
+            "regexr_transform requires an 'expression' argument",
+        ),
+        (
+            "regexr_transform",
+            {"expression": 3},
+            "steps[0].args",
+            "regexr_transform requires an 'expression' argument",
+        ),
+        (
+            "regexr_transform",
+            {"expression": "jython: exec(value)"},
+            "steps[0].args.expression",
+            _GRAMMAR,
+        ),
+    ],
+)
+def test_deserialize_malformed_args_path_and_reason(op, args, path, reason):
+    with pytest.raises(SchemaError) as exc:
+        deserialize(_one_step_doc(op, args))
+    assert (exc.value.path, exc.value.reason) == (path, reason)
+
+
+def _sample_args():
+    from dcflow import parse_transform_expr
+
+    # One entry per operation: a new OpKind member without an entry here
+    # fails the loops below.
+    return {
+        OpKind.UPPER: None,
+        OpKind.TRIM: None,
+        OpKind.NUMERIC: None,
+        OpKind.DATE: None,
+        OpKind.MASS_EDIT: MassEditSpec.of([(["a", "b"], "c"), (["d"], "e")]),
+        OpKind.REGEXR_TRANSFORM: parse_transform_expr(
+            "jython: match = re.search(r'(\\d+)', value)\nif match: return match.group(1)"
+        ),
+    }
+
+
+def test_every_op_round_trips_through_serialize():
+    samples = _sample_args()
+    for op in OpKind:
+        wf = Workflow(
+            (OpSpec(op, "a", samples[op], rationale="why"),), source_table_id="t", purpose_id="p"
+        )
+        data = serialize(wf)
+        assert deserialize(data) == wf, op
+        assert serialize(deserialize(data)) == data, op
+
+
+def test_every_op_rejects_a_wrong_argument_type():
+    samples = _sample_args()
+    candidates = [None] + [v for v in samples.values() if v is not None]
+    for op in OpKind:
+        for wrong in candidates:
+            if wrong is samples[op]:
+                continue
+            with pytest.raises(ValueError):
+                OpSpec(op, "a", wrong)
