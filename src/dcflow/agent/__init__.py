@@ -12,6 +12,7 @@ from .backends import (
 )
 from .parsing import OpChoice, QualityReport
 from .pipeline import (
+    MAX_RETRIES,
     PipelineConfig,
     PipelineResult,
     Trace,
@@ -34,6 +35,7 @@ __all__ = [
     "ScriptEntry",
     "OpChoice",
     "QualityReport",
+    "MAX_RETRIES",
     "PipelineConfig",
     "PipelineResult",
     "Trace",

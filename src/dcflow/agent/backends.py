@@ -34,16 +34,6 @@ class DecodingParams:
     max_output_tokens: int = 2048
     stop: tuple[str, ...] = ("\n\n\n",)
 
-    def to_json(self) -> dict:
-        return {
-            "temperature": self.temperature,
-            "top_k": self.top_k,
-            "top_p": self.top_p,
-            "mirostat": self.mirostat,
-            "max_output_tokens": self.max_output_tokens,
-            "stop": list(self.stop),
-        }
-
 
 DEFAULT_PARAMS = DecodingParams()
 
@@ -146,7 +136,9 @@ class HttpBackend(CompletionBackend):
 
     The endpoint URL, model name and API key come from arguments or the
     DCFLOW_LLM_URL / DCFLOW_LLM_MODEL / DCFLOW_LLM_KEY environment
-    variables. One retry on 5xx or transport errors, 60 s timeout.
+    variables. One retry on 5xx or transport errors, 60 s timeout. Each
+    call is a plain ``requests.post``, which is safe for concurrent
+    in-flight calls; a shared Session is not.
     """
 
     def __init__(
@@ -155,7 +147,6 @@ class HttpBackend(CompletionBackend):
         model: Optional[str] = None,
         api_key: Optional[str] = None,
         timeout: float = 60.0,
-        session: Optional[requests.Session] = None,
     ):
         self.url = url or os.environ.get(ENV_URL, "")
         if not self.url:
@@ -163,9 +154,6 @@ class HttpBackend(CompletionBackend):
         self.model = model or os.environ.get(ENV_MODEL, "default")
         self.api_key = api_key or os.environ.get(ENV_KEY)
         self.timeout = timeout
-        # No session by default: requests.post is safe for concurrent
-        # in-flight calls, a shared Session is not.
-        self.session = session
         self.name = f"http:{self.model}"
 
     def _request_body(self, prompt: str, params: DecodingParams) -> dict:
@@ -184,11 +172,10 @@ class HttpBackend(CompletionBackend):
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         body = self._request_body(prompt, params)
-        post = self.session.post if self.session is not None else requests.post
         last_error: Optional[str] = None
         for attempt in (0, 1):
             try:
-                resp = post(self.url, json=body, headers=headers, timeout=self.timeout)
+                resp = requests.post(self.url, json=body, headers=headers, timeout=self.timeout)
             except requests.RequestException as exc:
                 last_error = f"transport error: {exc}"
                 logger.warning("backend request failed (attempt %d): %s", attempt, exc)

@@ -50,8 +50,6 @@ class QualityReport:
 class OpChoice:
     op: OpKind
     explanation: str
-    raw_response: str
-    retry_count: int = 0
 
 
 def _find_balanced(text: str, open_ch: str, close_ch: str) -> str | None:
@@ -151,7 +149,7 @@ def parse_quality_report(response: str) -> QualityReport | None:
 _SELECTED_OP_RE = re.compile(r"selected\s+operation\s*:\s*`*\s*(\w+)", re.IGNORECASE)
 
 
-def parse_op_choice(response: str) -> tuple[OpKind, str] | None:
+def parse_op_choice(response: str) -> OpChoice | None:
     """Exact-name match against the six operations.
 
     A "Selected Operation:" line wins; otherwise the response must mention
@@ -164,14 +162,14 @@ def parse_op_choice(response: str) -> tuple[OpKind, str] | None:
     m = _SELECTED_OP_RE.search(response)
     if m:
         try:
-            return OpKind(m.group(1).lower()), explanation
+            return OpChoice(OpKind(m.group(1).lower()), explanation)
         except ValueError:
             return None
     found = {
         op for op in OpKind if re.search(rf"\b{re.escape(op.value)}\b", response)
     }
     if len(found) == 1:
-        return found.pop(), explanation
+        return OpChoice(found.pop(), explanation)
     return None
 
 

@@ -68,19 +68,20 @@ logger = logging.getLogger(__name__)
 
 T = TypeVar("T")
 
+# A stage whose response cannot be used is asked again this many times, at
+# ``RETRY_TEMPERATURE``, before it fails.
+MAX_RETRIES = 1
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
     max_iters_per_column: int = 8
     sample_size: int = 30
-    max_retries_per_call: int = 1
     templates: Optional[PromptTemplates] = None
 
     def __post_init__(self):
         if self.max_iters_per_column <= 0 or self.sample_size <= 0:
             raise ValueError("iteration and sample bounds must be positive")
-        if self.max_retries_per_call < 0:
-            raise ValueError("max_retries_per_call must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -93,32 +94,12 @@ class TraceCall:
     params: DecodingParams
     outcome: str  # "ok" | "parse_error" | "backend_error"
 
-    def to_json(self) -> dict:
-        return {
-            "type": "call",
-            "stage": self.stage,
-            "column": self.column,
-            "attempt": self.attempt,
-            "prompt": self.prompt,
-            "response": self.response,
-            "params": self.params.to_json(),
-            "outcome": self.outcome,
-        }
-
 
 @dataclass(frozen=True)
 class TraceEvent:
     kind: str
     column: Optional[str]
     message: str
-
-    def to_json(self) -> dict:
-        return {
-            "type": "event",
-            "kind": self.kind,
-            "column": self.column,
-            "message": self.message,
-        }
 
 
 _DEGRADING_EVENTS = ("column_error", "budget_exhausted")
@@ -130,9 +111,6 @@ class Trace:
     calls: list[TraceCall] = field(default_factory=list)
     events: list[TraceEvent] = field(default_factory=list)
 
-    def add_call(self, call: TraceCall) -> None:
-        self.calls.append(call)
-
     def add_event(self, kind: str, column: Optional[str], message: str) -> None:
         logger.info("pipeline event %s (%s): %s", kind, column, message)
         self.events.append(TraceEvent(kind, column, message))
@@ -142,7 +120,9 @@ class Trace:
         return any(e.kind in _DEGRADING_EVENTS for e in self.events)
 
     def to_jsonl(self) -> str:
-        records = [c.to_json() for c in self.calls] + [e.to_json() for e in self.events]
+        """One JSON record per call, then one per event, in field order."""
+        records = [{"type": "call", **vars(c), "params": vars(c.params)} for c in self.calls]
+        records += [{"type": "event", **vars(e)} for e in self.events]
         return "\n".join(json.dumps(r, ensure_ascii=False) for r in records) + "\n"
 
 
@@ -158,44 +138,49 @@ class PipelineResult:
         return self.trace.degraded
 
 
-class _StageFailure(Exception):
-    """Internal: a stage could not produce a usable result."""
-
-
-def _call_backend(
+def _ask(
     backend: CompletionBackend,
-    prompt: str,
-    params: DecodingParams,
-    parse: Callable[[str], Optional[T]],
+    trace: Optional[Trace],
     stage: str,
     column: Optional[str],
-    trace: Trace,
-    max_retries: int,
-) -> tuple[T, int]:
-    """One backend call with up to ``max_retries`` re-asks at temperature 0.3."""
-    for attempt in range(max_retries + 1):
-        attempt_params = (
-            params if attempt == 0 else replace(params, temperature=RETRY_TEMPERATURE)
-        )
+    prompt: str,
+    parse: Callable[[str], Optional[T]],
+    error: type[DcflowError],
+    params: DecodingParams = DEFAULT_PARAMS,
+) -> T:
+    """The stage's parsed answer, asking again up to ``MAX_RETRIES`` times.
+
+    Every attempt is traced. A backend failure, or no parsable response
+    after the retries, raises the stage's own ``error``.
+    """
+    trace = trace if trace is not None else Trace(backend.name)
+    for attempt in range(MAX_RETRIES + 1):
+        if attempt:
+            params = replace(params, temperature=RETRY_TEMPERATURE)
         try:
-            response = backend.complete(prompt, attempt_params)
+            response = backend.complete(prompt, params)
         except BackendError as exc:
-            trace.add_call(
-                TraceCall(stage, column, attempt, prompt, None, attempt_params, "backend_error")
+            trace.calls.append(
+                TraceCall(stage, column, attempt, prompt, None, params, "backend_error")
             )
-            raise _StageFailure(f"backend failed: {exc}") from exc
+            raise error(f"backend failed: {exc}") from exc
         parsed = parse(response)
         outcome = "ok" if parsed is not None else "parse_error"
-        trace.add_call(
-            TraceCall(stage, column, attempt, prompt, response, attempt_params, outcome)
-        )
+        trace.calls.append(TraceCall(stage, column, attempt, prompt, response, params, outcome))
         if parsed is not None:
-            return parsed, attempt
-    raise _StageFailure(f"unusable response after {max_retries + 1} attempt(s)")
+            return parsed
+    raise error(f"unusable response after {MAX_RETRIES + 1} attempt(s)")
 
 
 def _templates(config: PipelineConfig) -> PromptTemplates:
     return config.templates if config.templates is not None else load_default_templates()
+
+
+def _sample(
+    table: Table, column: str, config: PipelineConfig, sampler: Optional[ColumnSampler]
+) -> list[str]:
+    table.column_index(column)
+    return (sampler or ColumnSampler(column, config.sample_size)).next_batch(table)
 
 
 def select_target_columns(
@@ -222,20 +207,7 @@ def select_target_columns(
             )
         return known or None
 
-    try:
-        names, _ = _call_backend(
-            backend,
-            prompt,
-            DEFAULT_PARAMS,
-            parse,
-            STAGE_SELECT,
-            None,
-            trace,
-            config.max_retries_per_call,
-        )
-    except _StageFailure as exc:
-        raise SelectionError(str(exc)) from exc
-    return names
+    return _ask(backend, trace, STAGE_SELECT, None, prompt, parse, SelectionError)
 
 
 def inspect_column_quality(
@@ -248,26 +220,11 @@ def inspect_column_quality(
     sampler: Optional[ColumnSampler] = None,
     history: Workflow = Workflow(),
 ) -> QualityReport:
-    trace = trace if trace is not None else Trace(backend.name)
-    table.column_index(column)
-    sampler = sampler or ColumnSampler(column, config.sample_size)
-    prompt = build_inspect_prompt(
-        _templates(config), column, sampler.next_batch(table), purpose_stmt, history
+    values = _sample(table, column, config, sampler)
+    prompt = build_inspect_prompt(_templates(config), column, values, purpose_stmt, history)
+    return _ask(
+        backend, trace, STAGE_INSPECT, column, prompt, parse_quality_report, InspectionError
     )
-    try:
-        report, _ = _call_backend(
-            backend,
-            prompt,
-            DEFAULT_PARAMS,
-            parse_quality_report,
-            STAGE_INSPECT,
-            column,
-            trace,
-            config.max_retries_per_call,
-        )
-    except _StageFailure as exc:
-        raise InspectionError(str(exc)) from exc
-    return report
 
 
 def choose_operation(
@@ -281,33 +238,11 @@ def choose_operation(
     sampler: Optional[ColumnSampler] = None,
     history: Workflow = Workflow(),
 ) -> OpChoice:
-    trace = trace if trace is not None else Trace(backend.name)
-    table.column_index(column)
-    sampler = sampler or ColumnSampler(column, config.sample_size)
+    values = _sample(table, column, config, sampler)
     prompt = build_choose_prompt(
-        _templates(config), column, sampler.next_batch(table), purpose_stmt, report, history
+        _templates(config), column, values, purpose_stmt, report, history
     )
-
-    def parse(response: str):
-        parsed = parse_op_choice(response)
-        if parsed is None:
-            return None
-        return parsed + (response,)
-
-    try:
-        (op, explanation, raw), attempt = _call_backend(
-            backend,
-            prompt,
-            DEFAULT_PARAMS,
-            parse,
-            STAGE_CHOOSE,
-            column,
-            trace,
-            config.max_retries_per_call,
-        )
-    except _StageFailure as exc:
-        raise OpChoiceError(str(exc)) from exc
-    return OpChoice(op=op, explanation=explanation, raw_response=raw, retry_count=attempt)
+    return _ask(backend, trace, STAGE_CHOOSE, column, prompt, parse_op_choice, OpChoiceError)
 
 
 def generate_arguments(
@@ -323,32 +258,16 @@ def generate_arguments(
 ) -> MassEditSpec | TransformExpr:
     if op not in ARG_TYPES:
         raise ValueError(f"{op.value} takes no generated arguments")
-    trace = trace if trace is not None else Trace(backend.name)
-    table.column_index(column)
-    sampler = sampler or ColumnSampler(column, config.sample_size)
+    values = _sample(table, column, config, sampler)
     prompt = build_args_prompt(
-        _templates(config), column, sampler.next_batch(table), purpose_stmt, op.value, history
+        _templates(config), column, values, purpose_stmt, op.value, history
     )
     if op is OpKind.MASS_EDIT:
         params = replace(DEFAULT_PARAMS, temperature=MASS_EDIT_TEMPERATURE)
-        parse = parse_mass_edit_args
-    else:
-        params = DEFAULT_PARAMS
-        parse = parse_transform_args
-    try:
-        args, _ = _call_backend(
-            backend,
-            prompt,
-            params,
-            parse,
-            STAGE_ARGS,
-            column,
-            trace,
-            config.max_retries_per_call,
+        return _ask(
+            backend, trace, STAGE_ARGS, column, prompt, parse_mass_edit_args, ArgGenError, params
         )
-    except _StageFailure as exc:
-        raise ArgGenError(str(exc)) from exc
-    return args
+    return _ask(backend, trace, STAGE_ARGS, column, prompt, parse_transform_args, ArgGenError)
 
 
 def run_pipeline(
@@ -359,11 +278,7 @@ def run_pipeline(
 ) -> PipelineResult:
     config = config or PipelineConfig()
     trace = Trace(backend.name)
-    workflow = Workflow(
-        steps=(),
-        source_table_id=table.provenance or "",
-        purpose_id=purpose.id,
-    )
+    workflow = Workflow(source_table_id=table.provenance or "", purpose_id=purpose.id)
     try:
         worklist = select_target_columns(
             backend, table, purpose.statement, config, trace
@@ -407,22 +322,14 @@ def run_pipeline(
             except (OpChoiceError, ArgGenError) as exc:
                 trace.add_event("column_error", column, str(exc))
                 break
-            # ``current`` is the replay of ``workflow`` over ``table``, so
-            # the step is checked against and applied to it once; the
-            # workflow numbers the new step.
-            current.column_index(column)
-            step = OpSpec(
-                op=choice.op,
-                column=column,
-                args=args,
-                rationale=choice.explanation or None,
-            )
+            # ``current`` is the replay of ``workflow`` over ``table``, so the
+            # new step is applied to it once; its number is its position.
+            step = OpSpec(choice.op, column, args, choice.explanation or None)
             workflow = replace(workflow, steps=workflow.steps + (step,))
-            step = workflow.steps[-1]
             try:
                 current = apply_step(current, step)
             except DcflowError as exc:
-                raise ReplayError(step.step_index, exc) from exc
+                raise ReplayError(len(workflow.steps), exc) from exc
         else:
             trace.add_event(
                 "budget_exhausted",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 from dataclasses import dataclass
 from importlib import resources
 
@@ -101,7 +102,7 @@ def render_history(workflow: Workflow) -> str:
     if not workflow.steps:
         return "(none)"
     return "\n".join(
-        f"{s.step_index}. {s.op.value} on {s.column}" for s in workflow.steps
+        f"{i}. {s.op.value} on {s.column}" for i, s in enumerate(workflow.steps, 1)
     )
 
 
@@ -123,11 +124,14 @@ def render_report(report: QualityReport) -> str:
     return "\n".join(lines)
 
 
+_SLOT_RE = re.compile(r"\{(\w+)\}")
+
+
 def _fill(template: str, **slots: str) -> str:
-    # Plain textual substitution; templates may contain literal braces.
-    for key, value in slots.items():
-        template = template.replace("{" + key + "}", value)
-    return template
+    # One pass over the template: a filled-in value is never rescanned, so
+    # text like "{purpose}" in a cell reaches the model verbatim. Braces
+    # that name no slot stay as they are.
+    return _SLOT_RE.sub(lambda m: slots.get(m.group(1), m.group(0)), template)
 
 
 def build_select_prompt(templates: PromptTemplates, table: Table, purpose: str) -> str:
@@ -139,6 +143,26 @@ def build_select_prompt(templates: PromptTemplates, table: Table, purpose: str) 
     return f"Task stage: {STAGE_SELECT}\n\n{body}"
 
 
+def _column_prompt(
+    stage: str,
+    template: str,
+    column: str,
+    values: list[str],
+    purpose: str,
+    history: Workflow,
+    **extra: str,
+) -> str:
+    body = _fill(
+        template,
+        table_block=render_column_block(column, values),
+        purpose=purpose,
+        column=column,
+        history=render_history(history),
+        **extra,
+    )
+    return f"Task stage: {stage}\nTarget column: {column}\n\n{body}"
+
+
 def build_inspect_prompt(
     templates: PromptTemplates,
     column: str,
@@ -146,14 +170,9 @@ def build_inspect_prompt(
     purpose: str,
     history: Workflow,
 ) -> str:
-    body = _fill(
-        templates.quality_report,
-        table_block=render_column_block(column, values),
-        purpose=purpose,
-        column=column,
-        history=render_history(history),
+    return _column_prompt(
+        STAGE_INSPECT, templates.quality_report, column, values, purpose, history
     )
-    return f"Task stage: {STAGE_INSPECT}\nTarget column: {column}\n\n{body}"
 
 
 def build_choose_prompt(
@@ -164,15 +183,10 @@ def build_choose_prompt(
     report: QualityReport,
     history: Workflow,
 ) -> str:
-    body = _fill(
-        templates.operations,
-        table_block=render_column_block(column, values),
-        purpose=purpose,
-        column=column,
+    return _column_prompt(
+        STAGE_CHOOSE, templates.operations, column, values, purpose, history,
         report=render_report(report),
-        history=render_history(history),
     )
-    return f"Task stage: {STAGE_CHOOSE}\nTarget column: {column}\n\n{body}"
 
 
 _MASS_EDIT_REQUEST = """\

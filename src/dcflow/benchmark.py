@@ -79,7 +79,7 @@ class ErrorProfile:
         if not isinstance(raw, dict):
             raise SchemaError(path, "must be an object")
         rate = raw.get("rate")
-        if not isinstance(rate, (int, float, Decimal)):
+        if type(rate) not in (int, float, Decimal):
             raise SchemaError(f"{path}.rate", "must be a number")
         columns = raw.get("columns")
         if not isinstance(columns, list) or not all(isinstance(c, str) for c in columns):
@@ -94,11 +94,11 @@ class ErrorProfile:
                     family = ErrorFamily(name)
                 except ValueError:
                     raise SchemaError(f"{path}.mix", f"unknown family {name!r}") from None
-                if not isinstance(weight, (int, float, Decimal)):
+                if type(weight) not in (int, float, Decimal):
                     raise SchemaError(f"{path}.mix.{name}", "weight must be a number")
                 mix[family] = float(weight)
         seed = raw.get("seed", 0)
-        if not isinstance(seed, int):
+        if type(seed) is not int:
             raise SchemaError(f"{path}.seed", "must be an integer")
         try:
             return cls(rate=float(rate), columns=tuple(columns), seed=seed, mix=mix)
@@ -138,7 +138,7 @@ class ErrorLog:
         entries = []
         for i, e in enumerate(raw):
             ep = f"{path}[{i}]"
-            if not isinstance(e, dict) or not isinstance(e.get("row"), int):
+            if not isinstance(e, dict) or type(e.get("row")) is not int:
                 raise SchemaError(ep, "must be an object with an integer 'row'")
             try:
                 family = ErrorFamily(e.get("family"))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 
 class CellKind(Enum):
@@ -118,7 +118,7 @@ def format_number(d: Decimal) -> str:
 
 # Accepted date formats, in order. Patterns without %Y are time-of-day
 # values normalized onto the epoch date 1970-01-01. Slash dates are
-# month-first. The list is a default; callers may pass their own.
+# month-first.
 DATE_FORMATS: tuple[str, ...] = (
     "%Y-%m-%dT%H:%M:%S",
     "%Y-%m-%dT%H:%M",
@@ -136,7 +136,7 @@ DATE_FORMATS: tuple[str, ...] = (
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
-def parse_date(text: str, formats: Sequence[str] = DATE_FORMATS) -> Optional[datetime]:
+def parse_date(text: str) -> Optional[datetime]:
     """Parse ``text`` against the accepted formats, or return None."""
     t = text.strip()
     if not t:
@@ -144,7 +144,7 @@ def parse_date(text: str, formats: Sequence[str] = DATE_FORMATS) -> Optional[dat
     candidates = [t]
     if t.endswith("Z"):
         candidates.append(t[:-1])
-    for fmt in formats:
+    for fmt in DATE_FORMATS:
         for cand in candidates:
             try:
                 dt = datetime.strptime(cand, fmt)

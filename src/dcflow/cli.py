@@ -64,15 +64,13 @@ def atomic_write(path: Path, data: bytes) -> None:
         raise
 
 
-def _make_backend(backend: str, script: Optional[str] = None):
+def _make_backend(backend: str):
     if backend == "http":
         return HttpBackend()
-    if backend == "scripted" or backend.startswith("scripted:"):
-        script_path = script or backend.partition(":")[2]
+    kind, _, script_path = backend.partition(":")
+    if kind == "scripted":
         if not script_path:
-            raise DcflowError(
-                "scripted backend needs a script: --script <path> or scripted:<path>"
-            )
+            raise DcflowError("scripted backend needs a script: scripted:<path>")
         return ScriptedBackend.from_file(script_path)
     raise DcflowError(f"unknown backend {backend!r}; use 'http' or 'scripted[:<path>]'")
 
@@ -92,11 +90,10 @@ def cli(verbose: bool) -> None:
 def _clean_one(
     case: CaseManifest,
     backend_spec: str,
-    script: Optional[str],
     out_dir: Path,
     config: PipelineConfig,
 ) -> int:
-    backend = _make_backend(backend_spec, script)
+    backend = _make_backend(backend_spec)
     table = case.raw_table
     result = run_pipeline(backend, table, case.purpose, config)
     atomic_write(out_dir / "workflow.json", serialize(result.workflow))
@@ -116,7 +113,6 @@ def _clean_one(
 @click.option("--suite", "suite_path", type=click.Path(exists=True), help="Suite manifest.")
 @click.option("--purpose-id", help="Purpose to clean from the suite (default: all).")
 @click.option("--backend", required=True, help="'http' or 'scripted[:<script.json>]'.")
-@click.option("--script", type=click.Path(exists=True), help="Script for the scripted backend.")
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @click.option("--max-iters", type=int, default=8, show_default=True)
 @click.option("--sample-size", type=int, default=30, show_default=True)
@@ -126,7 +122,6 @@ def clean(
     suite_path: Optional[str],
     purpose_id: Optional[str],
     backend: str,
-    script: Optional[str],
     out_dir: str,
     max_iters: int,
     sample_size: int,
@@ -154,12 +149,12 @@ def clean(
     single = len(cases) == 1 and case_path is not None
     try:
         if single:
-            codes = [_clean_one(cases[0], backend, script, out, config)]
+            codes = [_clean_one(cases[0], backend, out, config)]
         else:
             with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
                 codes = list(
                     pool.map(
-                        lambda c: _clean_one(c, backend, script, out / c.purpose.id, config),
+                        lambda c: _clean_one(c, backend, out / c.purpose.id, config),
                         cases,
                     )
                 )
@@ -195,16 +190,11 @@ def replay_cmd(workflow_path: str, table_path: str, out_path: str, history_dir: 
 @click.argument("profile_path", type=click.Path(exists=True))
 @click.option("--out", "out_path", type=click.Path(), required=True)
 @click.option("--log", "log_path", type=click.Path(), required=True)
-@click.option("--seed", type=int, help="Overrides the profile's seed.")
-def inject(table_path: str, profile_path: str, out_path: str, log_path: str, seed: Optional[int]) -> None:
+def inject(table_path: str, profile_path: str, out_path: str, log_path: str) -> None:
     """Corrupt a clean table per an error profile."""
     try:
         raw_profile = json.loads(Path(profile_path).read_text(encoding="utf-8"))
         profile = ErrorProfile.from_json(raw_profile)
-        if seed is not None:
-            profile = ErrorProfile(
-                rate=profile.rate, columns=profile.columns, seed=seed, mix=profile.mix
-            )
         table = load_table(Path(table_path).read_bytes(), provenance=table_path)
         dirty, log = benchmark.inject_errors(table, profile)
     except (DcflowError, ValueError, json.JSONDecodeError) as exc:
@@ -312,10 +302,12 @@ def eval_cmd(
         for case, _topic in cases:
             stats[f"{case.purpose.id}/silver"] = op_stats(case.silver_workflow)
             wf_path = Path(results_dir) / case.purpose.id / "workflow.json"
-            if wf_path.exists():
+            try:
                 stats[f"{case.purpose.id}/predicted"] = op_stats(
                     deserialize(wf_path.read_bytes())
                 )
+            except (OSError, SchemaError):
+                pass  # _eval_case has already made this case a finding
         atomic_write(Path(ops_csv_path), op_stats_csv(stats).encode("utf-8"))
     click.echo(text_table)
     sys.exit(EXIT_DEGRADED if findings else EXIT_OK)

@@ -151,20 +151,11 @@ def eval_columns(pred: Table, gold: Table, target_columns: Sequence[str]) -> Col
     return ColumnScores(ratio=ratio, per_column=per_column)
 
 
-def eval_workflow(
-    pred: Workflow, gold: Workflow, *, column_sensitive: bool = True
-) -> WorkflowScores:
-    """Overlap between predicted and silver operations.
-
-    By default steps match on (column, operation) pairs; ``column_sensitive=
-    False`` relaxes matching to the operation alone, for sensitivity checks.
-    """
-    if column_sensitive:
-        pred_items = [(s.column, s.op) for s in pred.steps]
-        gold_items = [(s.column, s.op) for s in gold.steps]
-    else:
-        pred_items = [s.op for s in pred.steps]
-        gold_items = [s.op for s in gold.steps]
+def eval_workflow(pred: Workflow, gold: Workflow) -> WorkflowScores:
+    """Overlap between predicted and silver operations, matched on
+    (column, operation) pairs."""
+    pred_items = [(s.column, s.op) for s in pred.steps]
+    gold_items = [(s.column, s.op) for s in gold.steps]
     exact = pred_items == gold_items
     if not pred_items and not gold_items:
         return WorkflowScores(True, 1.0, 1.0, 1.0, op_stats(pred), op_stats(gold))

@@ -140,14 +140,14 @@ def apply_numeric(table: Table, column: str) -> Table:
     return result
 
 
-def apply_date(table: Table, column: str, formats: Sequence[str] | None = None) -> Table:
+def apply_date(table: Table, column: str) -> Table:
     """Convert text cells matching an accepted date format; leave the rest."""
     converted = 0
 
     def fn(cell: Cell) -> Cell:
         nonlocal converted
         if cell.kind is CellKind.TEXT:
-            dt = parse_date(cell.value) if formats is None else parse_date(cell.value, formats)
+            dt = parse_date(cell.value)
             if dt is not None:
                 converted += 1
                 return Cell.date(dt)

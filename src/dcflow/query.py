@@ -105,6 +105,8 @@ class QuerySpec:
         order_by = self.order.by if self.order is not None else None
         if agg is None and order_by is not None and order_by not in self.select:
             raise ValueError(f"order.by {order_by!r} is not a select column")
+        if self.limit is not None and (type(self.limit) is not int or self.limit < 0):
+            raise ValueError("limit must be a non-negative integer or null")
 
 
 class AnswerKind(Enum):
@@ -427,8 +429,11 @@ def query_from_json(raw: Any, path: str = "query") -> QuerySpec:
     select = raw.get("select", [])
     if not isinstance(select, list) or not all(isinstance(s, str) for s in select):
         raise SchemaError(f"{path}.select", "must be a list of column names")
+    raw_filters = raw.get("filters", [])
+    if not isinstance(raw_filters, list):
+        raise SchemaError(f"{path}.filters", "must be a list")
     filters = []
-    for i, f in enumerate(raw.get("filters", [])):
+    for i, f in enumerate(raw_filters):
         fp = f"{path}.filters[{i}]"
         if not isinstance(f, dict) or not isinstance(f.get("column"), str):
             raise SchemaError(fp, "must be {'column', 'op', 'value'}")
@@ -453,9 +458,6 @@ def query_from_json(raw: Any, path: str = "query") -> QuerySpec:
     group_by = raw.get("group_by")
     if group_by is not None and not isinstance(group_by, str):
         raise SchemaError(f"{path}.group_by", "must be a column name or null")
-    limit = raw.get("limit")
-    if limit is not None and not isinstance(limit, int):
-        raise SchemaError(f"{path}.limit", "must be an integer or null")
     try:
         return QuerySpec(
             select=tuple(select),
@@ -464,7 +466,7 @@ def query_from_json(raw: Any, path: str = "query") -> QuerySpec:
             aggregate=aggregate,
             distinct=bool(raw.get("distinct", False)),
             order=order,
-            limit=limit,
+            limit=raw.get("limit"),
         )
     except ValueError as exc:
         raise SchemaError(path, str(exc)) from None

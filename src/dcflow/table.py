@@ -76,14 +76,9 @@ class Table:
         return replace(self, rows=new_rows)
 
 
-def load_table(
-    data: bytes,
-    *,
-    delimiter: str = ",",
-    header: bool = True,
-    provenance: str | None = None,
-) -> Table:
-    """Parse a CSV payload. Empty fields become missing cells; no typing.
+def load_table(data: bytes, *, provenance: str | None = None) -> Table:
+    """Parse a CSV payload with a header row. Empty fields become missing
+    cells; no typing.
 
     A leading UTF-8 byte order mark, as spreadsheet exports write, is
     dropped rather than kept in the first column's name.
@@ -92,24 +87,20 @@ def load_table(
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise EncodingError(f"payload is not valid UTF-8: {exc}") from exc
-    records = list(csv.reader(io.StringIO(text, newline=""), delimiter=delimiter))
+    records = list(csv.reader(io.StringIO(text, newline="")))
     if not records:
         raise EmptyInputError("empty CSV payload")
-    if header:
-        columns = records[0]
-        body = records[1:]
-    else:
-        columns = [f"c{i + 1}" for i in range(len(records[0]))]
-        body = records
     # Table checks the column names and each row's width.
-    rows = tuple(tuple(MISSING if f == "" else Cell.text(f) for f in record) for record in body)
-    return Table(tuple(columns), rows, provenance)
+    rows = tuple(
+        tuple(MISSING if f == "" else Cell.text(f) for f in record) for record in records[1:]
+    )
+    return Table(tuple(records[0]), rows, provenance)
 
 
-def table_to_csv(table: Table, *, delimiter: str = ",") -> bytes:
+def table_to_csv(table: Table) -> bytes:
     """Serialize with canonical RFC-4180 quoting, "\\n" terminated lines."""
     buf = io.StringIO()
-    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(table.columns)
     for row in table.rows:
         writer.writerow([cell.render() for cell in row])

@@ -33,13 +33,12 @@ SCHEMA_VERSION = "dcflow/1"
 
 @dataclass(frozen=True)
 class OpSpec:
-    """One recorded operation. ``step_index`` is 1-based within a workflow."""
+    """One recorded operation; its step number is its 1-based position."""
 
     op: OpKind
     column: str
     args: MassEditSpec | TransformExpr | None = None
     rationale: str | None = None
-    step_index: int = 0
 
     def __post_init__(self):
         arg_type = ARG_TYPES.get(self.op)
@@ -71,16 +70,6 @@ class Workflow:
     source_table_id: str = ""
     purpose_id: str | None = None
 
-    def __post_init__(self):
-        renumbered = tuple(
-            replace(s, step_index=i + 1) if s.step_index == 0 else s
-            for i, s in enumerate(self.steps)
-        )
-        object.__setattr__(self, "steps", renumbered)
-        for i, s in enumerate(self.steps):
-            if s.step_index != i + 1:
-                raise ValueError(f"step_index {s.step_index} at position {i}; must be {i + 1}")
-
 
 @dataclass(frozen=True)
 class History:
@@ -101,17 +90,16 @@ def record(workflow: Workflow, step: OpSpec, source_table: Table) -> Workflow:
     """
     frontier = replay(workflow, source_table).final
     frontier.column_index(step.column)
-    new_step = replace(step, step_index=len(workflow.steps) + 1)
-    return replace(workflow, steps=workflow.steps + (new_step,))
+    return replace(workflow, steps=workflow.steps + (step,))
 
 
 def replay(workflow: Workflow, table: Table) -> History:
     tables = [table]
-    for step in workflow.steps:
+    for i, step in enumerate(workflow.steps, 1):
         try:
             tables.append(apply_step(tables[-1], step))
         except DcflowError as exc:
-            raise ReplayError(step.step_index, exc) from exc
+            raise ReplayError(i, exc) from exc
     return History(tuple(tables))
 
 
@@ -136,13 +124,13 @@ def serialize(workflow: Workflow) -> bytes:
         "purpose_id": workflow.purpose_id,
         "steps": [
             {
-                "index": s.step_index,
+                "index": i,
                 "op": s.op.value,
                 "column": s.column,
                 "args": None if s.args is None else s.args.to_json(),
                 "rationale": s.rationale,
             }
-            for s in workflow.steps
+            for i, s in enumerate(workflow.steps, 1)
         ],
     }
     return (json.dumps(doc, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
@@ -186,11 +174,11 @@ def deserialize(data: bytes) -> Workflow:
         column = raw.get("column")
         if not isinstance(column, str):
             raise SchemaError(f"{path}.column", "must be a string")
-        if raw.get("index") != i + 1:
+        if type(raw.get("index")) is not int or raw["index"] != i + 1:
             raise SchemaError(f"{path}.index", f"must be {i + 1}")
         rationale = raw.get("rationale")
         if rationale is not None and not isinstance(rationale, str):
             raise SchemaError(f"{path}.rationale", "must be a string or null")
         args = _parse_args(op, raw.get("args"), f"{path}.args")
-        steps.append(OpSpec(op, column, args, rationale, i + 1))
+        steps.append(OpSpec(op, column, args, rationale))
     return Workflow(tuple(steps), source_table_id, purpose_id)

@@ -7,11 +7,13 @@ multiset overlap, and small independent parsers for numbers/whitespace.
 
 The last section keeps the straightforward versions of code that was since
 rewritten for speed or brevity (error injection, query filters, the eval
-report's JSON form), verbatim, so the rewrites can be checked against them.
+report's JSON form, the column prompts, the trace records), verbatim, so the
+rewrites can be checked against them.
 """
 
 from __future__ import annotations
 
+import json
 import re
 import unicodedata
 from datetime import datetime, timezone
@@ -321,3 +323,94 @@ def report_to_json_oracle(report) -> dict:
             for r in report.rows
         ],
     }
+
+
+def _fill_oracle(template: str, **slots: str) -> str:
+    # Plain textual substitution; templates may contain literal braces.
+    for key, value in slots.items():
+        template = template.replace("{" + key + "}", value)
+    return template
+
+
+def _render_history_oracle(workflow) -> str:
+    # The old form printed ``s.step_index``, which ``Workflow`` forced to be
+    # the step's 1-based position; that position is what is printed here.
+    if not workflow.steps:
+        return "(none)"
+    return "\n".join(
+        f"{i}. {s.op.value} on {s.column}" for i, s in enumerate(workflow.steps, 1)
+    )
+
+
+def build_inspect_prompt_oracle(templates, column, values, purpose, history) -> str:
+    """``agent.prompts.build_inspect_prompt`` as it was before the two column
+    prompts shared one helper and slots were filled in one pass."""
+    from dcflow.agent.prompts import STAGE_INSPECT, render_column_block
+
+    body = _fill_oracle(
+        templates.quality_report,
+        table_block=render_column_block(column, values),
+        purpose=purpose,
+        column=column,
+        history=_render_history_oracle(history),
+    )
+    return f"Task stage: {STAGE_INSPECT}\nTarget column: {column}\n\n{body}"
+
+
+def build_choose_prompt_oracle(templates, column, values, purpose, report, history) -> str:
+    """``agent.prompts.build_choose_prompt``, likewise."""
+    from dcflow.agent.prompts import STAGE_CHOOSE, render_column_block, render_report
+
+    body = _fill_oracle(
+        templates.operations,
+        table_block=render_column_block(column, values),
+        purpose=purpose,
+        column=column,
+        report=render_report(report),
+        history=_render_history_oracle(history),
+    )
+    return f"Task stage: {STAGE_CHOOSE}\nTarget column: {column}\n\n{body}"
+
+
+def params_to_json_oracle(params) -> dict:
+    """The removed ``DecodingParams.to_json``."""
+    return {
+        "temperature": params.temperature,
+        "top_k": params.top_k,
+        "top_p": params.top_p,
+        "mirostat": params.mirostat,
+        "max_output_tokens": params.max_output_tokens,
+        "stop": list(params.stop),
+    }
+
+
+def call_to_json_oracle(call) -> dict:
+    """The removed ``TraceCall.to_json``."""
+    return {
+        "type": "call",
+        "stage": call.stage,
+        "column": call.column,
+        "attempt": call.attempt,
+        "prompt": call.prompt,
+        "response": call.response,
+        "params": params_to_json_oracle(call.params),
+        "outcome": call.outcome,
+    }
+
+
+def event_to_json_oracle(event) -> dict:
+    """The removed ``TraceEvent.to_json``."""
+    return {
+        "type": "event",
+        "kind": event.kind,
+        "column": event.column,
+        "message": event.message,
+    }
+
+
+def trace_to_jsonl_oracle(trace) -> str:
+    """``Trace.to_jsonl`` as it was, built from the three methods above."""
+    records = [call_to_json_oracle(c) for c in trace.calls] + [
+        event_to_json_oracle(e) for e in trace.events
+    ]
+    return "\n".join(json.dumps(r, ensure_ascii=False) for r in records) + "\n"

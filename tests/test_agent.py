@@ -3,12 +3,25 @@ import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dcflow import Cell, OpKind, Table, load_case, replay
+from dcflow import (
+    Cell,
+    OpKind,
+    OpSpec,
+    Table,
+    Workflow,
+    load_case,
+    load_suite,
+    replay,
+    serialize,
+)
 from dcflow.agent import (
     DEFAULT_PARAMS,
     DecodingParams,
     HttpBackend,
+    OpChoice,
     PipelineConfig,
     ScriptedBackend,
     ScriptEntry,
@@ -30,6 +43,8 @@ from dcflow.agent.parsing import (
 from dcflow.agent.prompts import (
     ColumnSampler,
     PromptTemplates,
+    build_choose_prompt,
+    build_inspect_prompt,
     build_select_prompt,
     load_default_templates,
 )
@@ -41,6 +56,12 @@ from dcflow.errors import (
     SchemaError,
     SelectionError,
     TypeMismatchError,
+)
+
+from oracles import (
+    build_choose_prompt_oracle,
+    build_inspect_prompt_oracle,
+    trace_to_jsonl_oracle,
 )
 
 
@@ -118,11 +139,11 @@ def test_quality_report_invariants_enforced():
 
 def test_parse_op_choice_selected_line():
     got = parse_op_choice("Selected Operation: upper\nExplanation: casing.")
-    assert got == (OpKind.UPPER, "casing.")
+    assert got == OpChoice(OpKind.UPPER, "casing.")
 
 
 def test_parse_op_choice_unique_mention():
-    assert parse_op_choice("I would use trim here.")[0] is OpKind.TRIM
+    assert parse_op_choice("I would use trim here.").op is OpKind.TRIM
 
 
 def test_parse_op_choice_rejects_unknown_or_ambiguous():
@@ -208,7 +229,7 @@ def test_choose_operation_retry_path():
         backend, demo_table(), "country", "purpose", failing, trace=trace
     )
     assert choice.op is OpKind.TRIM
-    assert choice.retry_count == 1
+    assert [c.attempt for c in trace.calls] == [0, 1]
     # retry happened at the escalated temperature
     assert [c.params.temperature for c in trace.calls] == [0.1, 0.3]
 
@@ -321,6 +342,51 @@ def test_prompt_assembly_deterministic():
     b = build_select_prompt(templates, demo_table(), "purpose?")
     assert a == b
     assert a.startswith("Task stage: select-columns\n")
+
+
+def test_prompt_slots_are_filled_in_one_pass():
+    templates = load_default_templates()
+    inspect = build_inspect_prompt(
+        templates, "c", ["{purpose}", "{history}", "ok"], "PURPOSE-TEXT", Workflow()
+    )
+    assert '"{purpose}",\n    "{history}",\n    "ok"' in inspect
+    assert "Purpose: PURPOSE-TEXT\n" in inspect
+    report = QualityReport(
+        False, True, True, True, flag=False, explanation="x", objectives=("see {history}",)
+    )
+    choose = build_choose_prompt(templates, "c", ["ok"], "{column} {report}", report, Workflow())
+    assert "Purpose: {column} {report}\n" in choose
+    assert "- see {history}\n" in choose
+    assert "Target column: c\n" in choose
+
+
+_NO_BRACE = st.text(st.characters(exclude_characters="{"), max_size=12)
+_ARGLESS_OPS = [OpKind.UPPER, OpKind.TRIM, OpKind.NUMERIC, OpKind.DATE]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    column=_NO_BRACE,
+    values=st.lists(_NO_BRACE, max_size=5),
+    purpose=_NO_BRACE,
+    ops=st.lists(st.sampled_from(_ARGLESS_OPS), max_size=4),
+    objectives=st.lists(_NO_BRACE, max_size=3),
+)
+def test_column_prompts_match_the_old_builders(column, values, purpose, ops, objectives):
+    templates = load_default_templates()
+    history = Workflow(tuple(OpSpec(op, column) for op in ops))
+    report = (
+        QualityReport(False, True, None, True, flag=False, explanation="x",
+                      objectives=tuple(objectives))
+        if objectives
+        else QualityReport(True, True, None, True, flag=True, explanation="x")
+    )
+    assert build_inspect_prompt(
+        templates, column, values, purpose, history
+    ) == build_inspect_prompt_oracle(templates, column, values, purpose, history)
+    assert build_choose_prompt(
+        templates, column, values, purpose, report, history
+    ) == build_choose_prompt_oracle(templates, column, values, purpose, report, history)
 
 
 # scripted backend --------------------------------------------------------
@@ -486,6 +552,27 @@ def test_pipeline_trace_records_every_call_once():
         json.loads(line)
 
 
+def test_trace_records_match_the_old_serializer(suite_path, script_path):
+    entries = load_suite(suite_path)
+    for name in ("cfi_a_scripted", "cfi_b_consolidated", "cfi_b_stepwise"):
+        for entry in entries:
+            case = load_case(entry.path)
+            backend = ScriptedBackend.from_file(script_path(name))
+            trace = run_pipeline(backend, case.raw_table, case.purpose).trace
+            assert trace.to_jsonl() == trace_to_jsonl_oracle(trace)
+
+
+def test_trace_records_cover_every_outcome_and_event():
+    backend = scripted(
+        {"stage": "select-columns", "response": "```['country', 'ghost']```"},
+        {"stage": "inspect-quality", "column": "country", "response": "no verdicts"},
+    )
+    trace = run_pipeline(backend, demo_table(), _purpose_stub()).trace
+    assert [c.outcome for c in trace.calls] == ["ok", "parse_error", "backend_error"]
+    assert [e.kind for e in trace.events] == ["dropped_columns", "column_error"]
+    assert trace.to_jsonl() == trace_to_jsonl_oracle(trace)
+
+
 def test_pipeline_prompts_are_deterministic(cases_dir, script_path):
     case = load_case(cases_dir / "cfi" / "case_b.json")
     traces = []
@@ -632,7 +719,7 @@ def count_applications(monkeypatch, fail_at=None):
     original = dcflow.workflow.apply_step
 
     def counting(table, step):
-        calls.append(step.step_index)
+        calls.append(step)
         if len(calls) == fail_at:
             raise TypeMismatchError(step.column, step.op.value)
         return original(table, step)
@@ -646,8 +733,10 @@ def test_pipeline_applies_each_step_once(monkeypatch):
     calls = count_applications(monkeypatch)
     result = run_pipeline(six_step_backend(), demo_table(), _purpose_stub())
     assert [s.op.value for s in result.workflow.steps] == [op for op, _ in SIX_STEPS]
-    assert [s.step_index for s in result.workflow.steps] == [1, 2, 3, 4, 5, 6]
-    assert calls == [1, 2, 3, 4, 5, 6]
+    doc = json.loads(serialize(result.workflow))
+    assert [s["index"] for s in doc["steps"]] == [1, 2, 3, 4, 5, 6]
+    assert len(calls) == 6
+    assert all(applied is step for applied, step in zip(calls, result.workflow.steps))
     assert not result.degraded
     assert replay(result.workflow, demo_table()).final == result.final_table
     assert result.final_table.column_values("country") == (

@@ -9,6 +9,7 @@ from dcflow import (
     Cell,
     Table,
     delta_equiv,
+    deserialize,
     inject_errors,
     load_case,
     load_suite,
@@ -22,6 +23,7 @@ from dcflow.benchmark import (
     assert_case_valid,
 )
 from dcflow.errors import NoEligibleCellsError, SchemaError, SelfCheckError
+from dcflow.query import query_from_json
 
 from genutil import random_table
 from oracles import inject_errors_oracle
@@ -320,3 +322,50 @@ def test_load_case_malformed_json_is_schema_error(tmp_path, payload):
     with pytest.raises(SchemaError) as exc:
         load_case(p)
     assert exc.value.path == "manifest"
+
+
+def _one_step_doc(index):
+    return json.dumps(
+        {
+            "version": "dcflow/1",
+            "steps": [{"index": index, "op": "trim", "column": "a", "args": None}],
+        }
+    ).encode()
+
+
+_LOG_ENTRY = {"row": 0, "column": "a", "original": "x", "corrupted": "y", "family": "formatting"}
+
+
+@pytest.mark.parametrize(
+    "read, raw, path",
+    [
+        (query_from_json, {"select": ["a"], "filters": 3}, "query.filters"),
+        (query_from_json, {"select": ["a"], "limit": True}, "query"),
+        (query_from_json, {"select": ["a"], "limit": -1}, "query"),
+        (query_from_json, {"select": ["a"], "limit": 1.0}, "query"),
+        (deserialize, _one_step_doc(True), "steps[0].index"),
+        (ErrorProfile.from_json, {"rate": 0.1, "columns": ["a"], "seed": True}, "profile.seed"),
+        (ErrorProfile.from_json, {"rate": True, "columns": ["a"]}, "profile.rate"),
+        (
+            ErrorProfile.from_json,
+            {"rate": 0.1, "columns": ["a"], "mix": {"formatting": True}},
+            "profile.mix.formatting",
+        ),
+        (ErrorLog.from_json, [{**_LOG_ENTRY, "row": True}], "error_log[0]"),
+    ],
+    ids=[
+        "filters-int", "limit-bool", "limit-negative", "limit-float", "index-bool",
+        "seed-bool", "rate-bool", "mix-weight-bool", "row-bool",
+    ],
+)
+def test_json_readers_reject_bools_and_wrong_containers(read, raw, path):
+    with pytest.raises(SchemaError) as exc:
+        read(raw)
+    assert exc.value.path == path
+
+
+def test_json_readers_accept_the_well_typed_forms():
+    assert query_from_json({"select": ["a"], "filters": [], "limit": 0}).limit == 0
+    assert len(deserialize(_one_step_doc(1)).steps) == 1
+    assert ErrorProfile.from_json({"rate": 1, "columns": ["a"], "seed": 3}).seed == 3
+    assert ErrorLog.from_json([_LOG_ENTRY]).entries[0].row == 0

@@ -57,7 +57,7 @@ def test_clean_aborts_with_exit_1_when_selection_fails(runner, tmp_path):
         runner,
         "clean",
         "--case", str(CASES / "cfi" / "case_a.json"),
-        "--backend", "scripted", "--script", str(script),
+        "--backend", f"scripted:{script}",
         "--out", str(out),
     )
     assert result.exit_code == 1
@@ -264,6 +264,35 @@ def test_eval_missing_results_skips_and_exits_2(runner, tmp_path):
     assert doc["findings"]
     # baseline rows still present for every case
     assert {r["system"] for r in doc["aggregates"]} == {"baseline"}
+
+
+def test_eval_ops_csv_skips_a_malformed_workflow(runner, tmp_path):
+    results = tmp_path / "results"
+    invoke(
+        runner,
+        "clean",
+        "--suite", str(bundled_suite_path()),
+        "--backend", f"scripted:{bundled_script_path('cfi_a_scripted')}",
+        "--out", str(results),
+    )
+    (results / "cfi-a" / "workflow.json").write_text("{not json")
+    ops_path = tmp_path / "ops.csv"
+    result = runner.invoke(
+        cli,
+        [
+            "eval",
+            "--suite", str(bundled_suite_path()),
+            "--results", str(results),
+            "--out", str(tmp_path / "report.json"),
+            "--ops-csv", str(ops_path),
+        ],
+    )
+    assert result.exit_code == 2, result.output
+    assert "finding: cfi-a:" in result.output
+    labels = [line.split(",")[0] for line in ops_path.read_text().splitlines()[1:]]
+    assert "cfi-a/silver" in labels
+    assert "cfi-a/predicted" not in labels
+    assert "cfi-b/predicted" in labels
 
 
 def test_validate_command(runner):

@@ -279,15 +279,6 @@ def test_eval_workflow_both_empty():
     assert scores.exact and scores.f1 == 1.0
 
 
-def test_eval_workflow_op_only_granularity():
-    pred = Workflow((OpSpec(OpKind.TRIM, "other column"),))
-    gold = Workflow((OpSpec(OpKind.TRIM, "Facility Type"),))
-    strict = eval_workflow(pred, gold)
-    relaxed = eval_workflow(pred, gold, column_sensitive=False)
-    assert strict.f1 == 0.0
-    assert relaxed.f1 == 1.0
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 100_000))
 def test_eval_workflow_matches_exhaustive_on_small_workflows(seed):

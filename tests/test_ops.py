@@ -114,12 +114,6 @@ def test_date_month_first_policy():
     assert col_renders(apply_date(t, "col")) == ["2023-04-01T00:00:00Z"]
 
 
-def test_date_custom_format_list():
-    t = column_table([Cell.text("01.04.2023")])
-    out = apply_date(t, "col", formats=("%d.%m.%Y",))
-    assert col_renders(out) == ["2023-04-01T00:00:00Z"]
-
-
 # mass_edit -------------------------------------------------------------
 
 def test_mass_edit_merges_variant_groups():

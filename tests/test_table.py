@@ -59,12 +59,6 @@ def test_load_empty_fields_become_missing():
     assert not t.rows[0][1].is_missing
 
 
-def test_load_without_header_names_columns():
-    t = load_table(b"1,2\n3,4\n", header=False)
-    assert t.columns == ("c1", "c2")
-    assert t.n_rows == 2
-
-
 def test_column_values_quality_demo(quality_demo_table):
     values = quality_demo_table.column_values("City")
     rendered = [c.render() if not c.is_missing else None for c in values]

@@ -39,9 +39,9 @@ def test_record_appends_with_next_index(small_table):
     wf = Workflow(source_table_id="t")
     wf = record(wf, OpSpec(OpKind.TRIM, "Facility Type"), small_table)
     assert len(wf.steps) == 1
-    assert wf.steps[0].step_index == 1
+    assert [s["index"] for s in json.loads(serialize(wf))["steps"]] == [1]
     wf = record(wf, OpSpec(OpKind.UPPER, "Facility Type"), small_table)
-    assert [s.step_index for s in wf.steps] == [1, 2]
+    assert [s["index"] for s in json.loads(serialize(wf))["steps"]] == [1, 2]
 
 
 def test_record_then_replay_matches_direct_application(small_table):
