@@ -89,6 +89,9 @@ class ScriptedBackend(CompletionBackend):
                 raise SchemaError(f"script.entries[{i}]", "must have a 'stage'")
             if not isinstance(e.get("response"), str):
                 raise SchemaError(f"script.entries[{i}].response", "must be a string")
+            for key in ("column", "contains"):
+                if not isinstance(e.get(key), (str, type(None))):
+                    raise SchemaError(f"script.entries[{i}].{key}", "must be a string or null")
             entries.append(
                 ScriptEntry(
                     stage=e["stage"],
@@ -97,6 +100,8 @@ class ScriptedBackend(CompletionBackend):
                     contains=e.get("contains"),
                 )
             )
+        if not isinstance(raw.get("name", name), str):
+            raise SchemaError("script.name", "must be a string")
         return cls(entries, name=raw.get("name", name))
 
     @classmethod

@@ -71,7 +71,8 @@ class ErrorProfile:
         if not self.columns:
             raise ValueError("at least one target column is required")
         weights = list(self.mix.values())
-        if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
+        # NaN fails every comparison, so "w >= 0" rejects it too.
+        if not all(w >= 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
             raise ValueError("mix weights must be non-negative and sum to 1")
 
     @classmethod
@@ -279,13 +280,10 @@ def inject_errors(table: Table, profile: ErrorProfile) -> tuple[Table, ErrorLog]
     leaves every pool and no other cell changes, so the pools stay what a
     fresh scan would find.
     """
-    for name in profile.columns:
-        table.column_index(name)
+    values = {name: list(table.column_values(name)) for name in profile.columns}
     rng = random.Random(profile.seed)
     total = table.n_rows * len(profile.columns)
     target = int(profile.rate * total + 0.5)
-    rows = [list(row) for row in table.rows]
-    col_indices = {name: table.column_index(name) for name in profile.columns}
     families = [f for f, w in profile.mix.items() if w > 0]
     entries: list[ErrorLogEntry] = []
 
@@ -294,9 +292,9 @@ def inject_errors(table: Table, profile: ErrorProfile) -> tuple[Table, ErrorLog]
             family: _Pool(
                 [
                     (i, name)
-                    for name, j in col_indices.items()
-                    for i in range(table.n_rows)
-                    if _eligible(rows[i][j], family)
+                    for name, cells in values.items()
+                    for i, cell in enumerate(cells)
+                    if _eligible(cell, family)
                 ]
             )
             for family in families
@@ -310,15 +308,16 @@ def inject_errors(table: Table, profile: ErrorProfile) -> tuple[Table, ErrorLog]
             break
         family = rng.choices(usable, weights=[profile.mix[f] for f in usable], k=1)[0]
         i, name = rng.choice(pools[family])
-        j = col_indices[name]
-        original = rows[i][j]
+        original = values[name][i]
         replacement = _corrupt(original, family, rng)
-        rows[i][j] = replacement
+        values[name][i] = replacement
         for pool in pools.values():
             pool.discard((i, name))
         entries.append(ErrorLogEntry(i, name, original, replacement, family))
 
-    dirty = Table(table.columns, tuple(tuple(r) for r in rows), table.provenance)
+    dirty = table
+    for name, cells in values.items():
+        dirty = dirty.replace_column(name, cells)
     return dirty, ErrorLog(tuple(entries))
 
 
@@ -336,12 +335,20 @@ class CaseManifest:
     manifest_path: Path
 
 
-def _read_json(path: Path, label: str) -> Any:
+def _read_bytes(path: Path, label: str) -> bytes:
     try:
-        return json.loads(path.read_text(encoding="utf-8"), parse_float=Decimal)
+        return path.read_bytes()
     except FileNotFoundError:
         raise SchemaError(label, f"file not found: {path}") from None
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
+        raise SchemaError(label, f"unreadable file ({exc})") from exc
+
+
+def _read_json(path: Path, label: str) -> Any:
+    data = _read_bytes(path, label)
+    try:
+        return json.loads(data.decode("utf-8"), parse_float=Decimal)
+    except ValueError as exc:
         # ValueError covers bad JSON, bad UTF-8 and integers past Python's digit limit.
         raise SchemaError(label, f"unreadable JSON ({exc})") from exc
 
@@ -358,21 +365,19 @@ def load_case(manifest_path: str | Path) -> CaseManifest:
         rel = doc.get(key)
         if not isinstance(rel, str):
             raise SchemaError(key, "must be a path string")
-        path = base / rel
+        data = _read_bytes(base / rel, key)
         try:
-            tables[key] = load_table(path.read_bytes(), provenance=rel)
-        except FileNotFoundError:
-            raise SchemaError(key, f"file not found: {path}") from None
+            tables[key] = load_table(data, provenance=rel)
         except DcflowError as exc:
             raise SchemaError(key, f"unloadable table ({exc})") from exc
     rel = doc.get("silver_workflow")
     if not isinstance(rel, str):
         raise SchemaError("silver_workflow", "must be a path string")
-    wf_path = base / rel
+    data = _read_bytes(base / rel, "silver_workflow")
     try:
-        silver = deserialize(wf_path.read_bytes())
-    except FileNotFoundError:
-        raise SchemaError("silver_workflow", f"file not found: {wf_path}") from None
+        silver = deserialize(data)
+    except DcflowError as exc:
+        raise SchemaError("silver_workflow", f"unloadable workflow ({exc})") from exc
     error_log = None
     if doc.get("error_log") is not None:
         if not isinstance(doc["error_log"], str):
@@ -423,9 +428,8 @@ def validate_case(case: CaseManifest) -> list[str]:
             if not 0 <= e.row < case.raw_table.n_rows:
                 findings.append(f"error_log[{k}]: row {e.row} out of range")
                 continue
-            j = case.raw_table.column_index(e.column)
-            raw_cell = case.raw_table.rows[e.row][j]
-            gold_cell = case.gold_table.rows[e.row][case.gold_table.column_index(e.column)]
+            raw_cell = case.raw_table.column_values(e.column)[e.row]
+            gold_cell = case.gold_table.column_values(e.column)[e.row]
             if raw_cell.render() != e.corrupted.render():
                 findings.append(
                     f"error_log[{k}]: raw cell is {raw_cell.render()!r}, "

@@ -175,7 +175,7 @@ def replay_cmd(workflow_path: str, table_path: str, out_path: str, history_dir: 
         workflow = deserialize(Path(workflow_path).read_bytes())
         table = load_table(Path(table_path).read_bytes(), provenance=table_path)
         history = replay(workflow, table)
-    except DcflowError as exc:
+    except (DcflowError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_HARD)
     atomic_write(Path(out_path), table_to_csv(history.final))
@@ -197,7 +197,7 @@ def inject(table_path: str, profile_path: str, out_path: str, log_path: str) -> 
         profile = ErrorProfile.from_json(raw_profile)
         table = load_table(Path(table_path).read_bytes(), provenance=table_path)
         dirty, log = benchmark.inject_errors(table, profile)
-    except (DcflowError, ValueError, json.JSONDecodeError) as exc:
+    except (DcflowError, OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_HARD)
     atomic_write(Path(out_path), table_to_csv(dirty))

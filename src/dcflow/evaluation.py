@@ -138,14 +138,12 @@ def eval_columns(pred: Table, gold: Table, target_columns: Sequence[str]) -> Col
         raise EmptyInputError("no target columns to score")
     per_column: dict[str, float] = {}
     for name in target_columns:
-        pj = pred.column_index(name)
-        gj = gold.column_index(name)
+        pred_values = pred.column_values(name)
+        gold_values = gold.column_values(name)
         if pred.n_rows == 0:
             per_column[name] = 1.0
             continue
-        hits = sum(
-            delta_equiv(prow[pj], grow[gj]) for prow, grow in zip(pred.rows, gold.rows)
-        )
+        hits = sum(delta_equiv(p, g) for p, g in zip(pred_values, gold_values))
         per_column[name] = hits / pred.n_rows
     ratio = sum(per_column.values()) / len(per_column)
     return ColumnScores(ratio=ratio, per_column=per_column)

@@ -445,6 +445,8 @@ def query_from_json(raw: Any, path: str = "query") -> QuerySpec:
         a = raw["aggregate"]
         if not isinstance(a, dict) or a.get("fn") not in AGGREGATE_FNS:
             raise SchemaError(f"{path}.aggregate", "must be {'fn', 'column'} with a known fn")
+        if not isinstance(a.get("column"), (str, type(None))):
+            raise SchemaError(f"{path}.aggregate", "'column' must be a column name or null")
         try:
             aggregate = Aggregate(a["fn"], a.get("column"))
         except ValueError as exc:
@@ -454,17 +456,23 @@ def query_from_json(raw: Any, path: str = "query") -> QuerySpec:
         o = raw["order"]
         if not isinstance(o, dict):
             raise SchemaError(f"{path}.order", "must be an object")
-        order = Order(o.get("by"), bool(o.get("descending", False)))
+        if not isinstance(o.get("by"), (str, type(None))):
+            raise SchemaError(f"{path}.order", "'by' must be a column name or null")
+        if not isinstance(o.get("descending", False), bool):
+            raise SchemaError(f"{path}.order.descending", "must be true or false")
+        order = Order(o.get("by"), o.get("descending", False))
     group_by = raw.get("group_by")
     if group_by is not None and not isinstance(group_by, str):
         raise SchemaError(f"{path}.group_by", "must be a column name or null")
+    if not isinstance(raw.get("distinct", False), bool):
+        raise SchemaError(f"{path}.distinct", "must be true or false")
     try:
         return QuerySpec(
             select=tuple(select),
             filters=tuple(filters),
             group_by=group_by,
             aggregate=aggregate,
-            distinct=bool(raw.get("distinct", False)),
+            distinct=raw.get("distinct", False),
             order=order,
             limit=raw.get("limit"),
         )

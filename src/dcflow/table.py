@@ -1,8 +1,9 @@
 """Immutable rectangular tables with named columns, plus CSV in/out.
 
-Every mutation-like method returns a new table; instances are safe to share
-across threads. CSV ingestion performs no type inference: every non-empty
-field arrives as text and empty fields become missing cells.
+A table stores one tuple of cells per column. Every mutation-like method
+returns a new table that shares each column it did not change; instances
+are safe to share across threads. CSV ingestion performs no type inference:
+every non-empty field arrives as text and empty fields become missing cells.
 """
 
 from __future__ import annotations
@@ -18,26 +19,35 @@ from .errors import (
     EmptyInputError,
     EncodingError,
     RowArityError,
+    ShapeMismatchError,
     UnknownColumnError,
 )
+
+
+def _transpose(columns: tuple[str, ...], rows: Sequence[Sequence]) -> Iterable[tuple]:
+    """The columns of ``rows``; checks the names, then each row's width."""
+    if len(set(columns)) < len(columns):
+        raise DuplicateColumnError(next(n for i, n in enumerate(columns) if n in columns[:i]))
+    for i, row in enumerate(rows):
+        if len(row) != len(columns):
+            raise RowArityError(i + 1, len(columns), len(row))
+    return zip(*rows) if rows else [()] * len(columns)
 
 
 @dataclass(frozen=True)
 class Table:
     columns: tuple[str, ...]
-    rows: tuple[tuple[Cell, ...], ...]
+    data: tuple[tuple[Cell, ...], ...]  # one tuple of cells per column
+    n_rows: int
     provenance: str | None = None
 
     def __post_init__(self):
-        seen = set()
-        for name in self.columns:
-            if name in seen:
-                raise DuplicateColumnError(name)
-            seen.add(name)
-        width = len(self.columns)
-        for i, row in enumerate(self.rows):
-            if len(row) != width:
-                raise RowArityError(i + 1, width, len(row))
+        _transpose(self.columns, ())  # checks the names
+        if len(self.data) != len(self.columns):
+            raise ShapeMismatchError(f"{len(self.data)} cell columns, {len(self.columns)} names")
+        for values in self.data:
+            if len(values) != self.n_rows:
+                raise RowArityError(0, self.n_rows, len(values))
 
     @classmethod
     def from_rows(
@@ -46,11 +56,13 @@ class Table:
         rows: Iterable[Sequence[Cell]],
         provenance: str | None = None,
     ) -> "Table":
-        return cls(tuple(columns), tuple(tuple(r) for r in rows), provenance)
+        columns, rows = tuple(columns), list(rows)
+        return cls(columns, tuple(_transpose(columns, rows)), len(rows), provenance)
 
     @property
-    def n_rows(self) -> int:
-        return len(self.rows)
+    def rows(self) -> tuple[tuple[Cell, ...], ...]:
+        """The row tuples, rebuilt on each access."""
+        return tuple(zip(*self.data)) if self.data else ((),) * self.n_rows
 
     @property
     def n_cols(self) -> int:
@@ -63,17 +75,11 @@ class Table:
             raise UnknownColumnError(name, self.columns) from None
 
     def column_values(self, name: str) -> tuple[Cell, ...]:
-        j = self.column_index(name)
-        return tuple(row[j] for row in self.rows)
+        return self.data[self.column_index(name)]
 
     def replace_column(self, name: str, values: Sequence[Cell]) -> "Table":
         j = self.column_index(name)
-        if len(values) != self.n_rows:
-            raise RowArityError(0, self.n_rows, len(values))
-        new_rows = tuple(
-            row[:j] + (values[i],) + row[j + 1 :] for i, row in enumerate(self.rows)
-        )
-        return replace(self, rows=new_rows)
+        return replace(self, data=self.data[:j] + (tuple(values),) + self.data[j + 1 :])
 
 
 def load_table(data: bytes, *, provenance: str | None = None) -> Table:
@@ -90,11 +96,10 @@ def load_table(data: bytes, *, provenance: str | None = None) -> Table:
     records = list(csv.reader(io.StringIO(text, newline="")))
     if not records:
         raise EmptyInputError("empty CSV payload")
-    # Table checks the column names and each row's width.
-    rows = tuple(
-        tuple(MISSING if f == "" else Cell.text(f) for f in record) for record in records[1:]
-    )
-    return Table(tuple(records[0]), rows, provenance)
+    # Checks the header and each record's width, then converts each column once.
+    fields = Table.from_rows(records[0], records[1:])
+    cells = tuple(tuple(MISSING if f == "" else Cell.text(f) for f in col) for col in fields.data)
+    return Table(fields.columns, cells, fields.n_rows, provenance)
 
 
 def table_to_csv(table: Table) -> bytes:

@@ -91,8 +91,9 @@ def random_mass_edit(rng: random.Random) -> MassEditSpec:
     return MassEditSpec.of(edits)
 
 
-def random_step(rng: random.Random, columns: list[str]) -> OpSpec:
-    op = rng.choice(list(OpKind))
+def random_step(rng: random.Random, columns: list[str], op: OpKind | None = None) -> OpSpec:
+    if op is None:
+        op = rng.choice(list(OpKind))
     column = rng.choice(columns)
     if op is OpKind.MASS_EDIT:
         return OpSpec(op, column, random_mass_edit(rng))

@@ -7,18 +7,22 @@ multiset overlap, and small independent parsers for numbers/whitespace.
 
 The last section keeps the straightforward versions of code that was since
 rewritten for speed or brevity (error injection, query filters, the eval
-report's JSON form, the column prompts, the trace records), verbatim, so the
-rewrites can be checked against them.
+report's JSON form, the column prompts, the trace records, the row-stored
+table), verbatim, so the rewrites can be checked against them.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import re
 import unicodedata
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from decimal import Decimal
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 
 def longest_block(a: str, b: str) -> tuple[int, int, int]:
@@ -194,7 +198,7 @@ def inject_errors_oracle(table, profile):
         corrupted.add((i, name))
         entries.append(ErrorLogEntry(i, name, original, replacement, family))
 
-    dirty = Table(table.columns, tuple(tuple(r) for r in rows), table.provenance)
+    dirty = Table.from_rows(table.columns, rows, table.provenance)
     return dirty, ErrorLog(tuple(entries))
 
 
@@ -414,3 +418,95 @@ def trace_to_jsonl_oracle(trace) -> str:
         event_to_json_oracle(e) for e in trace.events
     ]
     return "\n".join(json.dumps(r, ensure_ascii=False) for r in records) + "\n"
+
+
+# The row-stored table and its CSV reader and writer, as they were before
+# the table stored its columns. Only the name ``RowTable`` and the imports
+# differ.
+
+
+@dataclass(frozen=True)
+class RowTable:
+    columns: tuple[str, ...]
+    rows: tuple[tuple[Cell, ...], ...]
+    provenance: str | None = None
+
+    def __post_init__(self):
+        from dcflow.errors import DuplicateColumnError, RowArityError
+
+        seen = set()
+        for name in self.columns:
+            if name in seen:
+                raise DuplicateColumnError(name)
+            seen.add(name)
+        width = len(self.columns)
+        for i, row in enumerate(self.rows):
+            if len(row) != width:
+                raise RowArityError(i + 1, width, len(row))
+
+    @classmethod
+    def from_rows(
+        cls,
+        columns: Sequence[str],
+        rows: Iterable[Sequence[Cell]],
+        provenance: str | None = None,
+    ) -> "RowTable":
+        return cls(tuple(columns), tuple(tuple(r) for r in rows), provenance)
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.rows)
+
+    @property
+    def n_cols(self) -> int:
+        return len(self.columns)
+
+    def column_index(self, name: str) -> int:
+        from dcflow.errors import UnknownColumnError
+
+        try:
+            return self.columns.index(name)
+        except ValueError:
+            raise UnknownColumnError(name, self.columns) from None
+
+    def column_values(self, name: str) -> tuple[Cell, ...]:
+        j = self.column_index(name)
+        return tuple(row[j] for row in self.rows)
+
+    def replace_column(self, name: str, values: Sequence[Cell]) -> "RowTable":
+        from dcflow.errors import RowArityError
+
+        j = self.column_index(name)
+        if len(values) != self.n_rows:
+            raise RowArityError(0, self.n_rows, len(values))
+        new_rows = tuple(
+            row[:j] + (values[i],) + row[j + 1 :] for i, row in enumerate(self.rows)
+        )
+        return replace(self, rows=new_rows)
+
+
+def load_table_oracle(data: bytes, *, provenance: str | None = None) -> RowTable:
+    from dcflow.cells import MISSING, Cell
+    from dcflow.errors import EmptyInputError, EncodingError
+
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise EncodingError(f"payload is not valid UTF-8: {exc}") from exc
+    records = list(csv.reader(io.StringIO(text, newline="")))
+    if not records:
+        raise EmptyInputError("empty CSV payload")
+    # Table checks the column names and each row's width.
+    rows = tuple(
+        tuple(MISSING if f == "" else Cell.text(f) for f in record) for record in records[1:]
+    )
+    return RowTable(tuple(records[0]), rows, provenance)
+
+
+def table_to_csv_oracle(table) -> bytes:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(table.columns)
+    for row in table.rows:
+        writer.writerow([cell.render() for cell in row])
+    return buf.getvalue().encode("utf-8")

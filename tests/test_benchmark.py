@@ -1,5 +1,6 @@
 import json
 import random
+import shutil
 
 import pytest
 from hypothesis import given, settings
@@ -225,9 +226,29 @@ def test_load_case_missing_file(tmp_path):
         load_case(p)
 
 
-def test_error_log_validation_catches_drift(cases_dir, tmp_path):
-    import shutil
+@pytest.mark.parametrize("key", ["raw_table", "gold_table", "silver_workflow"])
+def test_load_case_names_a_directory_as_schema_error(cases_dir, tmp_path, key):
+    shutil.copytree(cases_dir / "menu", tmp_path / "menu")
+    manifest = tmp_path / "menu" / "case.json"
+    doc = json.loads(manifest.read_text())
+    doc[key] = "."
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError) as exc:
+        load_case(manifest)
+    assert exc.value.path == key
+    assert exc.value.reason.startswith("unreadable file (")
 
+
+def test_load_case_wraps_a_malformed_silver_workflow(cases_dir, tmp_path):
+    shutil.copytree(cases_dir / "menu", tmp_path / "menu")
+    (tmp_path / "menu" / "silver.json").write_text('{"version": "nope"}')
+    with pytest.raises(SchemaError) as exc:
+        load_case(tmp_path / "menu" / "case.json")
+    assert exc.value.path == "silver_workflow"
+    assert exc.value.reason == "unloadable workflow (version: expected 'dcflow/1', got 'nope')"
+
+
+def test_error_log_validation_catches_drift(cases_dir, tmp_path):
     for name in ("raw.csv", "gold.csv", "silver_b.json", "case_b.json"):
         shutil.copy(cases_dir / "cfi" / name, tmp_path / name)
     log = json.loads((cases_dir / "cfi" / "error_log_b.json").read_text())
@@ -352,10 +373,24 @@ _LOG_ENTRY = {"row": 0, "column": "a", "original": "x", "corrupted": "y", "famil
             "profile.mix.formatting",
         ),
         (ErrorLog.from_json, [{**_LOG_ENTRY, "row": True}], "error_log[0]"),
+        (query_from_json, {"select": ["a"], "distinct": "false"}, "query.distinct"),
+        (
+            query_from_json,
+            {"select": ["a"], "order": {"by": "a", "descending": "false"}},
+            "query.order.descending",
+        ),
+        (query_from_json, {"select": ["a"], "order": {"by": 5}}, "query.order"),
+        (query_from_json, {"select": [], "aggregate": {"fn": "max", "column": 5}}, "query.aggregate"),
+        (
+            ErrorProfile.from_json,
+            {"rate": 0.1, "columns": ["a"], "mix": {"formatting": float("nan")}},
+            "profile",
+        ),
     ],
     ids=[
         "filters-int", "limit-bool", "limit-negative", "limit-float", "index-bool",
-        "seed-bool", "rate-bool", "mix-weight-bool", "row-bool",
+        "seed-bool", "rate-bool", "mix-weight-bool", "row-bool", "distinct-string",
+        "descending-string", "order-by-int", "aggregate-column-int", "mix-weight-nan",
     ],
 )
 def test_json_readers_reject_bools_and_wrong_containers(read, raw, path):
@@ -366,6 +401,9 @@ def test_json_readers_reject_bools_and_wrong_containers(read, raw, path):
 
 def test_json_readers_accept_the_well_typed_forms():
     assert query_from_json({"select": ["a"], "filters": [], "limit": 0}).limit == 0
+    q = query_from_json({"select": ["a"], "distinct": False, "order": {"by": None, "descending": True}})
+    assert (q.distinct, q.order.descending) == (False, True)
+    assert query_from_json({"aggregate": {"fn": "count", "column": None}}).aggregate.column is None
     assert len(deserialize(_one_step_doc(1)).steps) == 1
     assert ErrorProfile.from_json({"rate": 1, "columns": ["a"], "seed": 3}).seed == 3
     assert ErrorLog.from_json([_LOG_ENTRY]).entries[0].row == 0

@@ -352,3 +352,57 @@ def test_clean_with_malformed_script_exits_1(runner, tmp_path):
     )
     assert result.exit_code == 1
     assert "error: script: unreadable JSON" in result.output
+
+
+@pytest.mark.parametrize(
+    "key, value, reason",
+    [
+        ("contains", 5, "script.entries[0].contains: must be a string or null"),
+        ("column", ["x"], "script.entries[0].column: must be a string or null"),
+    ],
+    ids=["contains-int", "column-list"],
+)
+def test_clean_with_mistyped_script_fields_exits_1(runner, tmp_path, key, value, reason):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"entries": [{"stage": "select", "response": "[]", key: value}]}))
+    result = invoke(
+        runner, "clean", "--case", str(CASES / "cfi" / "case_a.json"),
+        "--backend", f"scripted:{script}", "--out", str(tmp_path / "out"),
+    )
+    assert result.exit_code == 1
+    assert f"error: {reason}" in result.output
+
+
+def test_validate_reports_a_table_path_naming_a_directory(runner, tmp_path):
+    shutil.copytree(CASES / "menu", tmp_path / "menu")
+    manifest = tmp_path / "menu" / "case.json"
+    doc = json.loads(manifest.read_text())
+    doc["raw_table"] = "."
+    manifest.write_text(json.dumps(doc))
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"cases": [{"path": "menu/case.json", "topic": "menu"}]}))
+    result = invoke(runner, "validate", "--suite", str(suite))
+    assert result.exit_code == 1
+    assert "raw_table: unreadable file (" in result.output
+
+
+@pytest.mark.parametrize("which", ["workflow", "table"])
+def test_replay_of_a_directory_exits_1(runner, tmp_path, which):
+    args = [str(CASES / "cfi" / "silver_a.json"), str(CASES / "cfi" / "raw.csv")]
+    args[which == "table"] = str(tmp_path)
+    result = invoke(runner, "replay", *args, "--out", str(tmp_path / "o.csv"))
+    assert result.exit_code == 1
+    assert result.output.startswith("error: ")
+
+
+@pytest.mark.parametrize("which", ["table", "profile"])
+def test_inject_of_a_directory_exits_1(runner, tmp_path, which):
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"rate": 0.5, "columns": ["event"], "seed": 7}))
+    args = [str(CASES / "menu" / "raw.csv"), str(profile)]
+    args[which == "profile"] = str(tmp_path)
+    result = invoke(
+        runner, "inject", *args, "--out", str(tmp_path / "o.csv"), "--log", str(tmp_path / "l.json")
+    )
+    assert result.exit_code == 1
+    assert result.output.startswith("error: ")

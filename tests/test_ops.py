@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dcflow import (
     Cell,
     MassEditSpec,
+    OpKind,
     Table,
     apply_date,
     apply_mass_edit,
@@ -185,6 +186,19 @@ def test_ops_preserve_shape_and_other_columns(seed):
         for k in range(table.n_cols):
             if k != j:
                 assert before[k] == after[k]
+
+
+@pytest.mark.parametrize("op", list(OpKind), ids=lambda op: op.value)
+@settings(max_examples=20)
+@given(seed=st.integers(0, 10_000))
+def test_ops_share_every_untouched_column(op, seed):
+    rng = random.Random(seed)
+    table = random_table(rng)
+    step = random_step(rng, list(table.columns), op)
+    out = apply_step(table, step)
+    for name in table.columns:
+        if name != step.column:
+            assert out.column_values(name) is table.column_values(name)
 
 
 @settings(max_examples=60)

@@ -232,7 +232,7 @@ def test_row_permutation_invariance(seed):
     t = Table.from_rows(["v"], [[Cell.text(v)] for v in values])
     shuffled = list(t.rows)
     rng.shuffle(shuffled)
-    t2 = Table(t.columns, tuple(shuffled))
+    t2 = Table.from_rows(t.columns, shuffled)
     queries = [
         QuerySpec(select=("v",), distinct=True),
         QuerySpec(aggregate=Aggregate("count_distinct", "v")),

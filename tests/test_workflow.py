@@ -312,3 +312,16 @@ def test_every_op_rejects_a_wrong_argument_type():
                 continue
             with pytest.raises(ValueError):
                 OpSpec(op, "a", wrong)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 10_000))
+def test_history_tables_share_the_columns_their_step_left_alone(seed):
+    rng = random.Random(seed)
+    table = random_table(rng)
+    workflow = random_workflow(rng, table)
+    tables = replay(workflow, table).tables
+    for step, before, after in zip(workflow.steps, tables, tables[1:]):
+        for name in table.columns:
+            if name != step.column:
+                assert after.column_values(name) is before.column_values(name)
