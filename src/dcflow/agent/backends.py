@@ -8,12 +8,14 @@ import logging
 import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from http.client import HTTPException
 from pathlib import Path
 from typing import Any, Optional
-
-import requests
+from urllib.error import HTTPError
+from urllib.request import Request, urlopen
 
 from ..errors import BackendError, SchemaError, ScriptExhaustedError
+from ..workflow import decode_json
 
 logger = logging.getLogger(__name__)
 
@@ -107,10 +109,10 @@ class ScriptedBackend(CompletionBackend):
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedBackend":
         try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
+            data = Path(path).read_bytes()
+        except OSError as exc:
             raise SchemaError("script", f"unreadable JSON ({exc})") from exc
-        return cls.from_json(doc, name=Path(path).stem)
+        return cls.from_json(decode_json(data, "script"), name=Path(path).stem)
 
     @staticmethod
     def _prompt_field(prompt: str, label: str) -> Optional[str]:
@@ -141,9 +143,8 @@ class HttpBackend(CompletionBackend):
 
     The endpoint URL, model name and API key come from arguments or the
     DCFLOW_LLM_URL / DCFLOW_LLM_MODEL / DCFLOW_LLM_KEY environment
-    variables. One retry on 5xx or transport errors, 60 s timeout. Each
-    call is a plain ``requests.post``, which is safe for concurrent
-    in-flight calls; a shared Session is not.
+    variables; only http and https URLs are accepted. One retry on 5xx or
+    transport errors, 60 s timeout. Each call opens its own connection.
     """
 
     def __init__(
@@ -156,6 +157,8 @@ class HttpBackend(CompletionBackend):
         self.url = url or os.environ.get(ENV_URL, "")
         if not self.url:
             raise BackendError(f"no endpoint URL; set {ENV_URL} or pass url=")
+        if not self.url.lower().startswith(("http://", "https://")):
+            raise BackendError(f"endpoint URL must be http or https: {self.url!r}")
         self.model = model or os.environ.get(ENV_MODEL, "default")
         self.api_key = api_key or os.environ.get(ENV_KEY)
         self.timeout = timeout
@@ -172,28 +175,36 @@ class HttpBackend(CompletionBackend):
             "stop": list(params.stop),
         }
 
+    def _post(self, request: Request) -> tuple[int, str]:
+        try:
+            resp = urlopen(request, timeout=self.timeout)
+        except HTTPError as exc:  # any status outside 2xx
+            resp = exc
+        with resp:
+            return resp.status, resp.read().decode("utf-8", "replace")
+
     def complete(self, prompt: str, params: DecodingParams) -> str:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        body = self._request_body(prompt, params)
+        data = json.dumps(self._request_body(prompt, params), allow_nan=False).encode("utf-8")
+        request = Request(self.url, data=data, headers=headers, method="POST")
         last_error: Optional[str] = None
         for attempt in (0, 1):
             try:
-                resp = requests.post(self.url, json=body, headers=headers, timeout=self.timeout)
-            except requests.RequestException as exc:
+                status, text = self._post(request)
+            except (OSError, HTTPException, ValueError) as exc:  # ValueError: a bad header
                 last_error = f"transport error: {exc}"
                 logger.warning("backend request failed (attempt %d): %s", attempt, exc)
                 continue
-            if 500 <= resp.status_code < 600:
-                last_error = f"server error {resp.status_code}"
-                logger.warning("backend 5xx (attempt %d): %s", attempt, resp.status_code)
+            if 500 <= status < 600:
+                last_error = f"server error {status}"
+                logger.warning("backend 5xx (attempt %d): %s", attempt, status)
                 continue
-            if resp.status_code != 200:
-                raise BackendError(f"unexpected status {resp.status_code}: {resp.text[:200]}")
+            if status != 200:
+                raise BackendError(f"unexpected status {status}: {text[:200]}")
             try:
-                doc = resp.json()
-                return doc["choices"][0]["message"]["content"]
+                return json.loads(text)["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise BackendError(f"malformed completion response: {exc}") from exc
         raise BackendError(last_error or "request failed")

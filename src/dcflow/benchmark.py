@@ -12,7 +12,6 @@ re-derives every cross-file invariant and reports findings.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from decimal import Decimal
@@ -36,7 +35,7 @@ from .query import (
     purpose_from_json,
 )
 from .table import Table, load_table
-from .workflow import Workflow, deserialize, replay
+from .workflow import Workflow, decode_json, deserialize, replay
 
 
 class ErrorFamily(Enum):
@@ -344,18 +343,9 @@ def _read_bytes(path: Path, label: str) -> bytes:
         raise SchemaError(label, f"unreadable file ({exc})") from exc
 
 
-def _read_json(path: Path, label: str) -> Any:
-    data = _read_bytes(path, label)
-    try:
-        return json.loads(data.decode("utf-8"), parse_float=Decimal)
-    except ValueError as exc:
-        # ValueError covers bad JSON, bad UTF-8 and integers past Python's digit limit.
-        raise SchemaError(label, f"unreadable JSON ({exc})") from exc
-
-
 def load_case(manifest_path: str | Path) -> CaseManifest:
     manifest_path = Path(manifest_path)
-    doc = _read_json(manifest_path, "manifest")
+    doc = decode_json(_read_bytes(manifest_path, "manifest"), "manifest")
     if not isinstance(doc, dict):
         raise SchemaError("manifest", "top level must be an object")
     purpose = purpose_from_json(doc.get("purpose"))
@@ -382,7 +372,8 @@ def load_case(manifest_path: str | Path) -> CaseManifest:
     if doc.get("error_log") is not None:
         if not isinstance(doc["error_log"], str):
             raise SchemaError("error_log", "must be a path string or null")
-        error_log = ErrorLog.from_json(_read_json(base / doc["error_log"], "error_log"))
+        data = _read_bytes(base / doc["error_log"], "error_log")
+        error_log = ErrorLog.from_json(decode_json(data, "error_log"))
     return CaseManifest(
         purpose=purpose,
         raw_table=tables["raw_table"],
@@ -422,24 +413,19 @@ def validate_case(case: CaseManifest) -> list[str]:
         findings.append(f"silver workflow check failed: {exc}")
     if case.error_log is not None:
         for k, e in enumerate(case.error_log.entries):
-            if e.column not in case.raw_table.columns:
-                findings.append(f"error_log[{k}]: unknown column {e.column!r}")
-                continue
-            if not 0 <= e.row < case.raw_table.n_rows:
-                findings.append(f"error_log[{k}]: row {e.row} out of range")
-                continue
-            raw_cell = case.raw_table.column_values(e.column)[e.row]
-            gold_cell = case.gold_table.column_values(e.column)[e.row]
-            if raw_cell.render() != e.corrupted.render():
-                findings.append(
-                    f"error_log[{k}]: raw cell is {raw_cell.render()!r}, "
-                    f"log says {e.corrupted.render()!r}"
-                )
-            if gold_cell.render() != e.original.render():
-                findings.append(
-                    f"error_log[{k}]: gold cell is {gold_cell.render()!r}, "
-                    f"log says {e.original.render()!r}"
-                )
+            for label, table, logged in (
+                ("raw", case.raw_table, e.corrupted),
+                ("gold", case.gold_table, e.original),
+            ):
+                if e.column not in table.columns:
+                    findings.append(f"error_log[{k}]: unknown column {e.column!r} in {label} table")
+                elif not 0 <= e.row < table.n_rows:
+                    findings.append(f"error_log[{k}]: row {e.row} out of range in {label} table")
+                elif (cell := table.column_values(e.column)[e.row]).render() != logged.render():
+                    findings.append(
+                        f"error_log[{k}]: {label} cell is {cell.render()!r}, "
+                        f"log says {logged.render()!r}"
+                    )
     return findings
 
 
@@ -457,7 +443,7 @@ class SuiteEntry:
 
 def load_suite(suite_path: str | Path) -> list[SuiteEntry]:
     suite_path = Path(suite_path)
-    doc = _read_json(suite_path, "suite")
+    doc = decode_json(_read_bytes(suite_path, "suite"), "suite")
     if not isinstance(doc, dict) or not isinstance(doc.get("cases"), list):
         raise SchemaError("suite", "must be an object with a 'cases' list")
     entries = []

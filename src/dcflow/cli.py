@@ -40,7 +40,7 @@ from .evaluation import (
 )
 from .query import execute_purpose
 from .table import load_table, table_to_csv
-from .workflow import deserialize, op_stats, replay, serialize
+from .workflow import decode_json, deserialize, op_stats, replay, serialize
 from . import benchmark
 
 logger = logging.getLogger(__name__)
@@ -193,11 +193,10 @@ def replay_cmd(workflow_path: str, table_path: str, out_path: str, history_dir: 
 def inject(table_path: str, profile_path: str, out_path: str, log_path: str) -> None:
     """Corrupt a clean table per an error profile."""
     try:
-        raw_profile = json.loads(Path(profile_path).read_text(encoding="utf-8"))
-        profile = ErrorProfile.from_json(raw_profile)
+        profile = ErrorProfile.from_json(decode_json(Path(profile_path).read_bytes(), "profile"))
         table = load_table(Path(table_path).read_bytes(), provenance=table_path)
         dirty, log = benchmark.inject_errors(table, profile)
-    except (DcflowError, OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
+    except (DcflowError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_HARD)
     atomic_write(Path(out_path), table_to_csv(dirty))
@@ -241,7 +240,7 @@ def _eval_case(case: CaseManifest, topic: str, results_dir: Path) -> tuple[list[
         )
         columns = eval_columns(cleaned, case.gold_table, purpose.target_columns_gold)
         workflow = eval_workflow(predicted, case.silver_workflow)
-    except DcflowError as exc:
+    except (DcflowError, OSError) as exc:
         findings.append(f"{purpose.id}: {exc}")
         return results, findings
     results.append(CaseResult(purpose.id, topic, "cleaned", answer, columns, workflow))

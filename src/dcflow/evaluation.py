@@ -1,10 +1,11 @@
 """Scoring along three dimensions: answer, column values, and workflow.
 
 The column dimension is the mean fraction of target-column cells that are
-equivalent to the ground truth, where equivalence accepts numeric equality,
-case-insensitive text equality, or equal date instants. The answer dimension
-matches collection elements as an order-insensitive multiset under the same
-equivalence, plus a character-level similarity over canonical renderings.
+equivalent to the ground truth (``match_key``): cells that read as numbers
+compare by value, and all others, dates included, by their case-insensitive
+rendering. The answer dimension matches collection elements as an
+order-insensitive multiset under the same equivalence, plus a
+character-level similarity over canonical renderings.
 The workflow dimension compares (column, operation) multisets against the
 silver reference; arguments are deliberately ignored since different
 argument choices can express the same repair.
@@ -37,8 +38,10 @@ def similarity(a: str, b: str) -> float:
 
 
 def match_key(cell: Cell) -> tuple:
-    """Equivalence key: numbers compare numerically, text case-insensitively,
-    dates by canonical instant; missing only matches missing."""
+    """Equivalence key: a cell ``cell_number`` reads compares by value; any
+    other cell by its lower-cased rendering, so a date matches only text that
+    spells its canonical ``YYYY-MM-DDTHH:MM:SSZ`` form, never another
+    spelling of the same instant. Missing only matches missing."""
     if cell.is_missing:
         return ("missing",)
     number = cell_number(cell)

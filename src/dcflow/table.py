@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 
 from .cells import Cell, MISSING
 from .errors import (
+    DcflowError,
     DuplicateColumnError,
     EmptyInputError,
     EncodingError,
@@ -93,7 +94,11 @@ def load_table(data: bytes, *, provenance: str | None = None) -> Table:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise EncodingError(f"payload is not valid UTF-8: {exc}") from exc
-    records = list(csv.reader(io.StringIO(text, newline="")))
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        records = list(reader)
+    except csv.Error as exc:  # a field over csv.field_size_limit(); NUL bytes before 3.11
+        raise DcflowError(f"CSV line {reader.line_num}: {exc}") from exc
     if not records:
         raise EmptyInputError("empty CSV payload")
     # Checks the header and each record's width, then converts each column once.

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from decimal import Decimal
 from typing import Any
 
 from .errors import DcflowError, ReplayError, SchemaError
@@ -143,11 +144,18 @@ def _parse_args(op: OpKind, raw: Any, path: str) -> MassEditSpec | TransformExpr
     return None if arg_type is None else arg_type.from_json(raw, path)
 
 
-def deserialize(data: bytes) -> Workflow:
+def decode_json(data: bytes, label: str) -> Any:
+    """The one reader of JSON files: UTF-8, fractions as ``Decimal``. Bad
+    UTF-8 or JSON, an integer past Python's digit limit and nesting past the
+    recursion limit all become ``SchemaError(label, "unreadable JSON (...)")``."""
     try:
-        doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SchemaError("$", f"not a UTF-8 JSON document: {exc}") from exc
+        return json.loads(data.decode("utf-8"), parse_float=Decimal)
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(label, f"unreadable JSON ({exc})") from exc
+
+
+def deserialize(data: bytes) -> Workflow:
+    doc = decode_json(data, "$")
     if not isinstance(doc, dict):
         raise SchemaError("$", "top level must be an object")
     if doc.get("version") != SCHEMA_VERSION:

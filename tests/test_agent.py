@@ -50,6 +50,7 @@ from dcflow.agent.prompts import (
 )
 from dcflow.errors import (
     ArgGenError,
+    BackendError,
     InspectionError,
     OpChoiceError,
     ReplayError,
@@ -599,24 +600,33 @@ def test_pipeline_reproduces_case_study_replay(cases_dir, script_path):
 
 # HTTP backend ------------------------------------------------------------
 
+OK_REPLY = (200, json.dumps({"choices": [{"message": {"content": "scripted reply"}}]}).encode())
+DROP = "drop"  # close the connection without answering
+
+
 class _FlakyHandler(BaseHTTPRequestHandler):
-    requests_seen = []
-    fail_first = True
+    """Answers each POST with the next queued reply, then with ``OK_REPLY``.
+
+    A reply is ``DROP`` or ``(status, body)``, optionally followed by a dict
+    of headers that extend or override the defaults. ``seen`` keeps each
+    request's headers and raw body bytes.
+    """
+
+    replies = []
+    seen = []
 
     def do_POST(self):
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        type(self).requests_seen.append(body)
-        if type(self).fail_first:
-            type(self).fail_first = False
-            self.send_response(500)
-            self.end_headers()
+        raw = self.rfile.read(int(self.headers["Content-Length"]))
+        type(self).seen.append((self.headers, raw))
+        reply = type(self).replies.pop(0) if type(self).replies else OK_REPLY
+        if reply == DROP:
             return
-        payload = json.dumps(
-            {"choices": [{"message": {"content": "scripted reply"}}]}
-        ).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
+        status, payload, *extra = reply
+        headers = {"Content-Type": "application/json", "Content-Length": str(len(payload))}
+        headers.update(*extra)
+        self.send_response(status)
+        for name, value in headers.items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(payload)
 
@@ -626,21 +636,22 @@ class _FlakyHandler(BaseHTTPRequestHandler):
 
 @pytest.fixture
 def flaky_server():
-    _FlakyHandler.requests_seen = []
-    _FlakyHandler.fail_first = True
+    _FlakyHandler.replies = [(500, b"")]
+    _FlakyHandler.seen = []
     server = HTTPServer(("127.0.0.1", 0), _FlakyHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()
+    server.server_close()
 
 
 def test_http_backend_retries_5xx_and_sends_decoding_params(flaky_server):
-    backend = HttpBackend(url=flaky_server, model="test-model", api_key="k")
+    backend = HttpBackend(url=flaky_server, model="test-model", api_key="k", timeout=2)
     params = DecodingParams(temperature=0.2)
     assert backend.complete("hello", params) == "scripted reply"
-    assert len(_FlakyHandler.requests_seen) == 2
-    body = _FlakyHandler.requests_seen[-1]
+    assert len(_FlakyHandler.seen) == 2
+    body = json.loads(_FlakyHandler.seen[-1][1])
     assert body["model"] == "test-model"
     assert body["messages"] == [{"role": "user", "content": "hello"}]
     assert body["temperature"] == 0.2
@@ -653,17 +664,105 @@ def test_http_backend_retries_5xx_and_sends_decoding_params(flaky_server):
 def test_http_backend_concurrent_calls(flaky_server):
     from concurrent.futures import ThreadPoolExecutor
 
-    _FlakyHandler.fail_first = False
-    backend = HttpBackend(url=flaky_server, model="test-model")
+    _FlakyHandler.replies = []
+    backend = HttpBackend(url=flaky_server, model="test-model", timeout=2)
     with ThreadPoolExecutor(max_workers=4) as pool:
         replies = list(pool.map(lambda i: backend.complete(f"q{i}", DEFAULT_PARAMS), range(8)))
     assert replies == ["scripted reply"] * 8
 
 
+def test_http_backend_sends_exact_body_bytes_and_headers(flaky_server, monkeypatch):
+    monkeypatch.delenv("DCFLOW_LLM_KEY", raising=False)
+    _FlakyHandler.replies = []
+    params = DecodingParams(temperature=0.2)
+    HttpBackend(url=flaky_server, model="m", api_key="k", timeout=2).complete("hé \"x\"", params)
+    HttpBackend(url=flaky_server, model="m", timeout=2).complete("hé \"x\"", params)
+    (with_key, raw), (without_key, raw_again) = _FlakyHandler.seen
+    assert raw == raw_again == (
+        b'{"model": "m", "messages": [{"role": "user", "content": "h\\u00e9 \\"x\\""}], '
+        b'"temperature": 0.2, "top_k": 60, "top_p": 0.95, "max_tokens": 2048, '
+        b'"stop": ["\\n\\n\\n"]}'
+    )
+    assert with_key["Content-Type"] == without_key["Content-Type"] == "application/json"
+    assert with_key["Authorization"] == "Bearer k"
+    assert "Authorization" not in without_key
+
+
+@pytest.mark.parametrize(
+    "replies, message",
+    [
+        ([(500, b""), (503, b"")], "server error 503"),
+        ([(404, b"no such model " * 20)], "unexpected status 404: " + ("no such model " * 20)[:200]),
+        ([(204, b"")], "unexpected status 204: "),
+        ([(200, b"not json")], "malformed completion response: Expecting value"),
+        ([(200, b'{"choices": []}')], "malformed completion response: list index out of range"),
+        ([(200, b'{"choices": [{}]}')], "malformed completion response: 'message'"),
+        ([DROP, DROP], "transport error: "),
+        ([(200, b'{"choices": [', {"Content-Length": "100"})] * 2, "transport error: "),
+    ],
+    ids=["5xx-twice", "4xx", "204", "not-json", "no-choices", "no-message", "dropped", "short-body"],
+)
+def test_http_backend_failures_are_backend_errors(flaky_server, replies, message):
+    _FlakyHandler.replies = list(replies)
+    backend = HttpBackend(url=flaky_server, model="m", timeout=2)
+    with pytest.raises(BackendError) as exc:
+        backend.complete("p", DEFAULT_PARAMS)
+    assert str(exc.value).startswith(message)
+    assert len(_FlakyHandler.seen) == (2 if message.startswith(("server", "transport")) else 1)
+
+
+def test_http_backend_retries_a_dropped_connection(flaky_server):
+    _FlakyHandler.replies = [DROP]
+    backend = HttpBackend(url=flaky_server, model="m", timeout=2)
+    assert backend.complete("p", DEFAULT_PARAMS) == "scripted reply"
+    assert len(_FlakyHandler.seen) == 2
+
+
+def test_http_backend_invalid_header_value_is_backend_error(flaky_server):
+    backend = HttpBackend(url=flaky_server, api_key="k\nx", timeout=2)
+    with pytest.raises(BackendError, match="^transport error: Invalid"):
+        backend.complete("p", DEFAULT_PARAMS)
+
+
+@pytest.mark.parametrize("url", ["localhost:8080/v1", "example.invalid/v1/chat/completions"])
+def test_http_backend_url_without_scheme_is_backend_error(url):
+    with pytest.raises(BackendError):
+        HttpBackend(url=url, timeout=2).complete("p", DEFAULT_PARAMS)
+
+
+def test_http_backend_refuses_non_http_urls(tmp_path):
+    reply = tmp_path / "reply.json"
+    reply.write_bytes(OK_REPLY[1])
+    for url in (reply.as_uri(), "ftp://127.0.0.1:9/reply.json"):
+        with pytest.raises(BackendError):
+            HttpBackend(url=url, timeout=2).complete("p", DEFAULT_PARAMS)
+
+
+def test_http_backend_reports_a_post_redirect_as_unexpected_status(flaky_server):
+    _FlakyHandler.replies = [(307, b"moved", {"Location": flaky_server})]
+    with pytest.raises(BackendError, match="^unexpected status 307: moved$"):
+        HttpBackend(url=flaky_server, timeout=2).complete("p", DEFAULT_PARAMS)
+
+
+def test_importing_dcflow_loads_no_third_party_http_stack():
+    import subprocess
+    import sys
+
+    # Compared with the modules loaded before the import, since a site hook
+    # may load one of these (say certifi) at interpreter start.
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import dcflow, dcflow.agent, dcflow.cli\n"
+        "heavy = ('requests', 'urllib3', 'charset_normalizer', 'idna', 'certifi')\n"
+        "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] in heavy))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_http_backend_requires_url(monkeypatch):
     monkeypatch.delenv("DCFLOW_LLM_URL", raising=False)
-    from dcflow.errors import BackendError
-
     with pytest.raises(BackendError):
         HttpBackend()
 

@@ -1,6 +1,7 @@
 import json
 import random
 import shutil
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from dcflow import (
 from dcflow.benchmark import (
     ErrorFamily,
     ErrorLog,
+    ErrorLogEntry,
     ErrorProfile,
     assert_case_valid,
 )
@@ -256,6 +258,32 @@ def test_error_log_validation_catches_drift(cases_dir, tmp_path):
     (tmp_path / "error_log_b.json").write_text(json.dumps(log))
     findings = validate_case(load_case(tmp_path / "case_b.json"))
     assert any("error_log[0]" in f for f in findings)
+
+
+def _gold_without(case, column=None, last_row=False):
+    gold = case.gold_table
+    keep = [j for j, name in enumerate(gold.columns) if name != column]
+    n_rows = gold.n_rows - last_row
+    data = tuple(gold.data[j][:n_rows] for j in keep)
+    return Table(tuple(gold.columns[j] for j in keep), data, n_rows)
+
+
+@pytest.mark.parametrize(
+    "drop, finding",
+    [
+        ({"last_row": True}, "error_log[0]: row {last} out of range in gold table"),
+        ({"column": "Results"}, "error_log[0]: unknown column 'Results' in gold table"),
+    ],
+    ids=["gold-row-missing", "gold-column-missing"],
+)
+def test_error_log_is_checked_against_the_gold_table_too(cases_dir, drop, finding):
+    case = load_case(cases_dir / "cfi" / "case_b.json")
+    last = case.raw_table.n_rows - 1
+    raw, gold = (t.column_values("Results")[last] for t in (case.raw_table, case.gold_table))
+    log = ErrorLog((ErrorLogEntry(last, "Results", gold, raw, ErrorFamily.FORMATTING),))
+    assert validate_case(replace(case, error_log=log)) == []
+    findings = validate_case(replace(case, gold_table=_gold_without(case, **drop), error_log=log))
+    assert finding.format(last=last) in findings
 
 
 # the pooled injection against the rescanning loop it replaced -------------

@@ -295,6 +295,23 @@ def test_eval_ops_csv_skips_a_malformed_workflow(runner, tmp_path):
     assert "cfi-b/predicted" in labels
 
 
+def test_eval_reports_an_unreadable_cleaned_csv_as_a_finding(runner, tmp_path):
+    results = _gold_as_results(tmp_path)
+    cleaned = results / "cfi-a" / "cleaned.csv"
+    cleaned.unlink()
+    cleaned.mkdir()
+    result = runner.invoke(
+        cli,
+        ["eval", "--suite", str(bundled_suite_path()), "--results", str(results),
+         "--out", str(tmp_path / "report.json")],
+    )
+    assert result.exit_code == 2, result.output
+    assert "finding: cfi-a: [Errno" in result.output
+    doc = json.loads((tmp_path / "report.json").read_text())
+    cleaned_ids = [r["case_id"] for r in doc["cases"] if r["system"] == "cleaned"]
+    assert len(cleaned_ids) == 7 and "cfi-a" not in cleaned_ids
+
+
 def test_validate_command(runner):
     result = invoke(runner, "validate", "--suite", str(bundled_suite_path()))
     assert result.exit_code == 0
@@ -406,3 +423,36 @@ def test_inject_of_a_directory_exits_1(runner, tmp_path, which):
     )
     assert result.exit_code == 1
     assert result.output.startswith("error: ")
+
+
+UNREADABLE_JSON = {
+    "deep": b"[" * 100_000,
+    "bad-utf8": b'{"a": "\xff"}',
+    "huge-int": b"1" * 5000,
+    "bad-json": b"{not json",
+}
+
+
+@pytest.mark.parametrize("payload", UNREADABLE_JSON.values(), ids=UNREADABLE_JSON)
+@pytest.mark.parametrize(
+    "command, label",
+    [("replay", "$"), ("inject", "profile"), ("validate", "suite"), ("clean", "script")],
+)
+def test_every_json_file_reader_reports_unreadable_json(runner, tmp_path, command, label, payload):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(payload)
+    args = {
+        "replay": [str(bad), str(CASES / "cfi" / "raw.csv"), "--out", str(tmp_path / "o.csv")],
+        "inject": [
+            str(CASES / "menu" / "raw.csv"), str(bad),
+            "--out", str(tmp_path / "o.csv"), "--log", str(tmp_path / "l.json"),
+        ],
+        "validate": ["--suite", str(bad)],
+        "clean": [
+            "--case", str(CASES / "cfi" / "case_a.json"),
+            "--backend", f"scripted:{bad}", "--out", str(tmp_path / "out"),
+        ],
+    }[command]
+    result = invoke(runner, command, *args)
+    assert result.exit_code == 1
+    assert result.output.startswith(f"error: {label}: unreadable JSON (")

@@ -1,5 +1,6 @@
 import random
 import string
+from datetime import datetime
 
 import pytest
 from hypothesis import given, settings
@@ -72,6 +73,9 @@ def test_similarity_is_order_sensitive_on_ties():
 
 # delta_equiv -----------------------------------------------------------
 
+JAN_5 = Cell.date(datetime(2024, 1, 5))
+
+
 @pytest.mark.parametrize(
     "t,g,expected",
     [
@@ -82,10 +86,26 @@ def test_similarity_is_order_sensitive_on_ties():
         (Cell.missing(), Cell.text(""), 0),
         (Cell.text("1,000"), Cell.text("1000"), 1),
         (Cell.text("5"), Cell.text("6"), 0),
+        # numbers: by value, whatever the spelling
+        (Cell.text(" 42 "), Cell.number("42.0"), 1),
+        (Cell.text("2024"), Cell.number("2024"), 1),
+        (Cell.text("$42"), Cell.number("42"), 0),
+        (Cell.text("0.50"), Cell.text(".5"), 0),  # ".5" is not in the numeric grammar
+        # dates: by canonical rendering, case-insensitive, never by instant
+        (JAN_5, Cell.date(datetime(2024, 1, 5)), 1),
+        (JAN_5, Cell.text("2024-01-05T00:00:00Z"), 1),
+        (JAN_5, Cell.text("2024-01-05t00:00:00z"), 1),
+        (JAN_5, Cell.text("01/05/2024"), 0),
+        (JAN_5, Cell.text("2024-01-05"), 0),
+        (JAN_5, Cell.text("January 05, 2024"), 0),
+        (Cell.text("2024-01-05"), Cell.text("2024/01/05"), 0),
+        # text: case-insensitive, whitespace kept
+        (Cell.text("Chicago "), Cell.text("Chicago"), 0),
     ],
 )
 def test_delta_equiv_cases(t, g, expected):
     assert delta_equiv(t, g) == expected
+    assert delta_equiv(g, t) == expected
 
 
 # eval_columns ----------------------------------------------------------

@@ -1,6 +1,7 @@
 import csv
 import io
 import random
+import sys
 
 import pytest
 from hypothesis import example, given
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from dcflow import Cell, Table, load_table, table_to_csv
 from dcflow.errors import (
+    DcflowError,
     DuplicateColumnError,
     EmptyInputError,
     EncodingError,
@@ -46,6 +48,22 @@ def test_load_duplicate_header():
 def test_load_invalid_utf8():
     with pytest.raises(EncodingError):
         load_table(b"a,b\n\xff\xfe,2\n")
+
+
+def test_load_reports_an_oversized_field_as_a_dcflow_error():
+    # The field size limit is process-global, so load_table reports it
+    # rather than raising it.
+    with pytest.raises(DcflowError, match=r"^CSV line 3: field larger than field limit"):
+        load_table(b"a\nok\n" + b"x" * 200_000 + b"\n")
+
+
+def test_load_nul_byte_is_data_or_a_dcflow_error():
+    payload = b"a\nx\x00y\n"
+    if sys.version_info >= (3, 11):
+        assert load_table(payload).column_values("a") == (Cell.text("x\x00y"),)
+    else:  # csv.reader rejects NUL before 3.11
+        with pytest.raises(DcflowError, match=r"^CSV line 2: line contains NUL"):
+            load_table(payload)
 
 
 def test_load_strips_leading_bom():
