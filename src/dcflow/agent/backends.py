@@ -14,8 +14,8 @@ from typing import Any, Optional
 from urllib.error import HTTPError
 from urllib.request import Request, urlopen
 
-from ..errors import BackendError, SchemaError, ScriptExhaustedError
-from ..workflow import decode_json
+from ..errors import BackendError, ScriptExhaustedError
+from ..jsonread import list_of, nullable, obj, read_json, string
 
 logger = logging.getLogger(__name__)
 
@@ -67,6 +67,13 @@ class ScriptEntry:
     used: bool = field(default=False, compare=False)
 
 
+def _script_entry_from_json(raw: Any, path: str) -> ScriptEntry:
+    optional = (nullable(string), None)
+    return ScriptEntry(
+        **obj(raw, path, stage=string, response=string, column=optional, contains=optional)
+    )
+
+
 class ScriptedBackend(CompletionBackend):
     """Replays canned responses keyed by pipeline stage and target column.
 
@@ -83,36 +90,12 @@ class ScriptedBackend(CompletionBackend):
 
     @classmethod
     def from_json(cls, raw: Any, name: str = "scripted") -> "ScriptedBackend":
-        if not isinstance(raw, dict) or not isinstance(raw.get("entries"), list):
-            raise SchemaError("script", "must be an object with an 'entries' list")
-        entries = []
-        for i, e in enumerate(raw["entries"]):
-            if not isinstance(e, dict) or not isinstance(e.get("stage"), str):
-                raise SchemaError(f"script.entries[{i}]", "must have a 'stage'")
-            if not isinstance(e.get("response"), str):
-                raise SchemaError(f"script.entries[{i}].response", "must be a string")
-            for key in ("column", "contains"):
-                if not isinstance(e.get(key), (str, type(None))):
-                    raise SchemaError(f"script.entries[{i}].{key}", "must be a string or null")
-            entries.append(
-                ScriptEntry(
-                    stage=e["stage"],
-                    response=e["response"],
-                    column=e.get("column"),
-                    contains=e.get("contains"),
-                )
-            )
-        if not isinstance(raw.get("name", name), str):
-            raise SchemaError("script.name", "must be a string")
-        return cls(entries, name=raw.get("name", name))
+        doc = obj(raw, "script", entries=list_of(_script_entry_from_json), name=(string, name))
+        return cls(list(doc["entries"]), name=doc["name"])
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedBackend":
-        try:
-            data = Path(path).read_bytes()
-        except OSError as exc:
-            raise SchemaError("script", f"unreadable JSON ({exc})") from exc
-        return cls.from_json(decode_json(data, "script"), name=Path(path).stem)
+        return cls.from_json(read_json(Path(path), "script"), name=Path(path).stem)
 
     @staticmethod
     def _prompt_field(prompt: str, label: str) -> Optional[str]:
@@ -204,7 +187,10 @@ class HttpBackend(CompletionBackend):
             if status != 200:
                 raise BackendError(f"unexpected status {status}: {text[:200]}")
             try:
-                return json.loads(text)["choices"][0]["message"]["content"]
+                content = json.loads(text)["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise BackendError(f"malformed completion response: {exc}") from exc
+            if not isinstance(content, str):
+                raise BackendError(f"malformed completion response: content is {content!r:.80}")
+            return content
         raise BackendError(last_error or "request failed")

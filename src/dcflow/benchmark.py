@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from decimal import Decimal
 from enum import Enum
 from pathlib import Path
-from typing import Any, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional
 
 from .cells import Cell, CellKind, cell_number
 from .errors import (
@@ -28,6 +27,9 @@ from .errors import (
     SelfCheckError,
 )
 from .evaluation import eval_columns
+from .jsonread import (
+    choice, dict_of, integer, list_of, nullable, number, obj, read_file, read_json, string
+)
 from .query import (
     Purpose,
     answer_to_canonical_text,
@@ -35,7 +37,7 @@ from .query import (
     purpose_from_json,
 )
 from .table import Table, load_table
-from .workflow import Workflow, decode_json, deserialize, replay
+from .workflow import Workflow, deserialize, replay
 
 
 class ErrorFamily(Enum):
@@ -76,32 +78,15 @@ class ErrorProfile:
 
     @classmethod
     def from_json(cls, raw: Any, path: str = "profile") -> "ErrorProfile":
-        if not isinstance(raw, dict):
-            raise SchemaError(path, "must be an object")
-        rate = raw.get("rate")
-        if type(rate) not in (int, float, Decimal):
-            raise SchemaError(f"{path}.rate", "must be a number")
-        columns = raw.get("columns")
-        if not isinstance(columns, list) or not all(isinstance(c, str) for c in columns):
-            raise SchemaError(f"{path}.columns", "must be a list of column names")
-        mix = None
-        if raw.get("mix") is not None:
-            if not isinstance(raw["mix"], dict):
-                raise SchemaError(f"{path}.mix", "must map family name to weight")
-            mix = {}
-            for name, weight in raw["mix"].items():
-                try:
-                    family = ErrorFamily(name)
-                except ValueError:
-                    raise SchemaError(f"{path}.mix", f"unknown family {name!r}") from None
-                if type(weight) not in (int, float, Decimal):
-                    raise SchemaError(f"{path}.mix.{name}", "weight must be a number")
-                mix[family] = float(weight)
-        seed = raw.get("seed", 0)
-        if type(seed) is not int:
-            raise SchemaError(f"{path}.seed", "must be an integer")
+        fields = obj(
+            raw, path, rate=number, columns=list_of(string), seed=(integer, 0),
+            mix=(nullable(dict_of(choice(ErrorFamily), number)), None),
+        )
+        rate, mix = float(fields["rate"]), fields["mix"]
+        if mix is not None:
+            mix = {family: float(weight) for family, weight in mix.items()}
         try:
-            return cls(rate=float(rate), columns=tuple(columns), seed=seed, mix=mix)
+            return cls(rate, fields["columns"], fields["seed"], mix)
         except ValueError as exc:
             raise SchemaError(path, str(exc)) from exc
 
@@ -133,30 +118,19 @@ class ErrorLog:
 
     @classmethod
     def from_json(cls, raw: Any, path: str = "error_log") -> "ErrorLog":
-        if not isinstance(raw, list):
-            raise SchemaError(path, "must be a list")
-        entries = []
-        for i, e in enumerate(raw):
-            ep = f"{path}[{i}]"
-            if not isinstance(e, dict) or type(e.get("row")) is not int:
-                raise SchemaError(ep, "must be an object with an integer 'row'")
-            try:
-                family = ErrorFamily(e.get("family"))
-            except ValueError:
-                raise SchemaError(ep, f"unknown family {e.get('family')!r}") from None
-            for key in ("column", "original", "corrupted"):
-                if not isinstance(e.get(key), str):
-                    raise SchemaError(f"{ep}.{key}", "must be a string")
-            entries.append(
-                ErrorLogEntry(
-                    row=e["row"],
-                    column=e["column"],
-                    original=Cell.text(e["original"]),
-                    corrupted=Cell.text(e["corrupted"]),
-                    family=family,
-                )
-            )
-        return cls(tuple(entries))
+        return cls(list_of(_log_entry_from_json)(raw, path))
+
+
+def _text_cell(raw: Any, path: str) -> Cell:
+    return Cell.text(string(raw, path))
+
+
+def _log_entry_from_json(raw: Any, path: str) -> ErrorLogEntry:
+    fields = obj(
+        raw, path, row=integer, column=string, original=_text_cell, corrupted=_text_cell,
+        family=choice(ErrorFamily),
+    )
+    return ErrorLogEntry(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -334,54 +308,28 @@ class CaseManifest:
     manifest_path: Path
 
 
-def _read_bytes(path: Path, label: str) -> bytes:
-    try:
-        return path.read_bytes()
-    except FileNotFoundError:
-        raise SchemaError(label, f"file not found: {path}") from None
-    except OSError as exc:
-        raise SchemaError(label, f"unreadable file ({exc})") from exc
-
-
 def load_case(manifest_path: str | Path) -> CaseManifest:
     manifest_path = Path(manifest_path)
-    doc = decode_json(_read_bytes(manifest_path, "manifest"), "manifest")
-    if not isinstance(doc, dict):
-        raise SchemaError("manifest", "top level must be an object")
-    purpose = purpose_from_json(doc.get("purpose"))
-    base = manifest_path.parent
-    tables = {}
-    for key in ("raw_table", "gold_table"):
-        rel = doc.get(key)
-        if not isinstance(rel, str):
-            raise SchemaError(key, "must be a path string")
-        data = _read_bytes(base / rel, key)
-        try:
-            tables[key] = load_table(data, provenance=rel)
-        except DcflowError as exc:
-            raise SchemaError(key, f"unloadable table ({exc})") from exc
-    rel = doc.get("silver_workflow")
-    if not isinstance(rel, str):
-        raise SchemaError("silver_workflow", "must be a path string")
-    data = _read_bytes(base / rel, "silver_workflow")
-    try:
-        silver = deserialize(data)
-    except DcflowError as exc:
-        raise SchemaError("silver_workflow", f"unloadable workflow ({exc})") from exc
-    error_log = None
-    if doc.get("error_log") is not None:
-        if not isinstance(doc["error_log"], str):
-            raise SchemaError("error_log", "must be a path string or null")
-        data = _read_bytes(base / doc["error_log"], "error_log")
-        error_log = ErrorLog.from_json(decode_json(data, "error_log"))
-    return CaseManifest(
-        purpose=purpose,
-        raw_table=tables["raw_table"],
-        gold_table=tables["gold_table"],
-        silver_workflow=silver,
-        error_log=error_log,
-        manifest_path=manifest_path,
+    doc = obj(
+        read_json(manifest_path, "manifest"), "$", purpose=purpose_from_json,
+        raw_table=string, gold_table=string, silver_workflow=string,
+        error_log=(nullable(string), None),
     )
+
+    def load(key: str, what: str, parse: Callable[[bytes], Any]) -> Any:
+        data = read_file(manifest_path.parent / doc[key], key)
+        try:
+            return parse(data)
+        except DcflowError as exc:
+            raise SchemaError(key, f"unloadable {what} ({exc})") from exc
+
+    raw = load("raw_table", "table", lambda data: load_table(data, provenance=doc["raw_table"]))
+    gold = load("gold_table", "table", lambda data: load_table(data, provenance=doc["gold_table"]))
+    silver = load("silver_workflow", "workflow", deserialize)
+    error_log = doc["error_log"]
+    if error_log is not None:
+        error_log = ErrorLog.from_json(read_json(manifest_path.parent / error_log, "error_log"))
+    return CaseManifest(doc["purpose"], raw, gold, silver, error_log, manifest_path)
 
 
 def validate_case(case: CaseManifest) -> list[str]:
@@ -443,16 +391,11 @@ class SuiteEntry:
 
 def load_suite(suite_path: str | Path) -> list[SuiteEntry]:
     suite_path = Path(suite_path)
-    doc = decode_json(_read_bytes(suite_path, "suite"), "suite")
-    if not isinstance(doc, dict) or not isinstance(doc.get("cases"), list):
-        raise SchemaError("suite", "must be an object with a 'cases' list")
-    entries = []
-    for i, raw in enumerate(doc["cases"]):
-        if (
-            not isinstance(raw, dict)
-            or not isinstance(raw.get("path"), str)
-            or not isinstance(raw.get("topic"), str)
-        ):
-            raise SchemaError(f"suite.cases[{i}]", "must be {'path': str, 'topic': str}")
-        entries.append(SuiteEntry(suite_path.parent / raw["path"], raw["topic"]))
-    return entries
+
+    def entry(raw: Any, path: str) -> SuiteEntry:
+        fields = obj(raw, path, path=string, topic=string)
+        return SuiteEntry(suite_path.parent / fields["path"], fields["topic"])
+
+    # "version" is declared so that it is not an unknown key; no reader checks it.
+    doc = obj(read_json(suite_path, "suite"), "suite", version=(string, ""), cases=list_of(entry))
+    return list(doc["cases"])

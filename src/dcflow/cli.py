@@ -38,9 +38,10 @@ from .evaluation import (
     render_report_table,
     report_to_json,
 )
+from .jsonread import read_file, read_json
 from .query import execute_purpose
 from .table import load_table, table_to_csv
-from .workflow import decode_json, deserialize, op_stats, replay, serialize
+from .workflow import deserialize, op_stats, replay, serialize
 from . import benchmark
 
 logger = logging.getLogger(__name__)
@@ -172,7 +173,7 @@ def clean(
 def replay_cmd(workflow_path: str, table_path: str, out_path: str, history_dir: Optional[str]) -> None:
     """Replay a recorded workflow over a table."""
     try:
-        workflow = deserialize(Path(workflow_path).read_bytes())
+        workflow = deserialize(read_file(Path(workflow_path), "workflow"))
         table = load_table(Path(table_path).read_bytes(), provenance=table_path)
         history = replay(workflow, table)
     except (DcflowError, OSError) as exc:
@@ -193,7 +194,7 @@ def replay_cmd(workflow_path: str, table_path: str, out_path: str, history_dir: 
 def inject(table_path: str, profile_path: str, out_path: str, log_path: str) -> None:
     """Corrupt a clean table per an error profile."""
     try:
-        profile = ErrorProfile.from_json(decode_json(Path(profile_path).read_bytes(), "profile"))
+        profile = ErrorProfile.from_json(read_json(Path(profile_path), "profile"))
         table = load_table(Path(table_path).read_bytes(), provenance=table_path)
         dirty, log = benchmark.inject_errors(table, profile)
     except (DcflowError, OSError) as exc:
@@ -234,7 +235,7 @@ def _eval_case(case: CaseManifest, topic: str, results_dir: Path) -> tuple[list[
         return results, findings
     try:
         cleaned = load_table(cleaned_path.read_bytes(), provenance=str(cleaned_path))
-        predicted = deserialize(workflow_path.read_bytes())
+        predicted = deserialize(read_file(workflow_path, "workflow"))
         answer = eval_answer(
             execute_purpose(purpose.query, cleaned), purpose.gold_answer
         )
@@ -297,16 +298,10 @@ def eval_cmd(
     if csv_path:
         atomic_write(Path(csv_path), per_case_csv(report).encode("utf-8"))
     if ops_csv_path:
-        stats = {}
-        for case, _topic in cases:
-            stats[f"{case.purpose.id}/silver"] = op_stats(case.silver_workflow)
-            wf_path = Path(results_dir) / case.purpose.id / "workflow.json"
-            try:
-                stats[f"{case.purpose.id}/predicted"] = op_stats(
-                    deserialize(wf_path.read_bytes())
-                )
-            except (OSError, SchemaError):
-                pass  # _eval_case has already made this case a finding
+        stats = {f"{case.purpose.id}/silver": op_stats(case.silver_workflow) for case, _ in cases}
+        for result in all_results:
+            if result.workflow is not None:
+                stats[f"{result.case_id}/predicted"] = result.workflow.pred_stats
         atomic_write(Path(ops_csv_path), op_stats_csv(stats).encode("utf-8"))
     click.echo(text_table)
     sys.exit(EXIT_DEGRADED if findings else EXIT_OK)

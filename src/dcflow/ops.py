@@ -16,6 +16,7 @@ from typing import Any, Callable, Sequence
 
 from .cells import Cell, CellKind, parse_date, parse_number
 from .errors import OverlappingEditError, SchemaError
+from .jsonread import list_of, obj, string
 from .table import Table
 from .transform import TransformExpr, eval_transform_expr
 
@@ -64,23 +65,9 @@ class MassEditSpec:
     @classmethod
     def from_json(cls, raw: Any, path: str) -> "MassEditSpec":
         """Parse ``{"edits": [{"from": [str], "to": str}, ...]}``."""
-        if not isinstance(raw, dict) or "edits" not in raw:
-            raise SchemaError(path, "mass_edit requires an 'edits' argument object")
-        edits = raw["edits"]
-        if not isinstance(edits, list):
-            raise SchemaError(f"{path}.edits", "must be a list")
-        parsed = []
-        for i, e in enumerate(edits):
-            if (
-                not isinstance(e, dict)
-                or not isinstance(e.get("from"), list)
-                or not all(isinstance(v, str) for v in e.get("from", []))
-                or not isinstance(e.get("to"), str)
-            ):
-                raise SchemaError(f"{path}.edits[{i}]", "must be {'from': [str], 'to': str}")
-            parsed.append(MassEdit(tuple(e["from"]), e["to"]))
+        edits = obj(raw, path, edits=list_of(_mass_edit_from_json))["edits"]
         try:
-            return cls(tuple(parsed))
+            return cls(edits)
         except OverlappingEditError as exc:
             raise SchemaError(f"{path}.edits", str(exc)) from exc
 
@@ -93,6 +80,11 @@ class MassEditSpec:
             for value in edit.from_values:
                 out[value] = edit.to
         return out
+
+
+def _mass_edit_from_json(raw: Any, path: str) -> MassEdit:
+    fields = obj(raw, path, **{"from": list_of(string), "to": string})
+    return MassEdit(fields["from"], fields["to"])
 
 
 ARG_TYPES: dict[OpKind, type] = {

@@ -30,6 +30,7 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .cells import Cell, CellKind, cell_instant, cell_number, format_number, parse_date
 from .errors import SchemaError, TypeMismatchError
+from .jsonread import boolean, choice, dict_of, integer, list_of, nullable, obj, string
 from .table import Table
 
 
@@ -388,24 +389,24 @@ def _number_cell(d: Decimal, path: str) -> Cell:
 def _cell_from_json(raw: Any, path: str) -> Cell:
     if raw is None:
         return Cell.missing()
-    if isinstance(raw, bool):
-        raise SchemaError(path, "booleans are not cell values")
     if isinstance(raw, str):
         return Cell.text(raw)
-    if isinstance(raw, (int, Decimal)):
+    if type(raw) in (int, Decimal):
         return _number_cell(Decimal(raw), path)
-    if isinstance(raw, float):
+    if type(raw) is float:
         return _number_cell(Decimal(str(raw)), path)
-    if isinstance(raw, dict) and isinstance(raw.get("date"), str):
-        dt = parse_date(raw["date"])
+    if isinstance(raw, dict) and "date" in raw:
+        text = obj(raw, path, date=string)["date"]
+        dt = parse_date(text)
         if dt is None:
-            raise SchemaError(path, f"unparseable date {raw['date']!r}")
+            raise SchemaError(path, f"unparseable date {text!r}")
         return Cell.date(dt)
-    if isinstance(raw, dict) and isinstance(raw.get("number"), str):
+    if isinstance(raw, dict):
+        text = obj(raw, path, number=string)["number"]
         try:
-            number = Decimal(raw["number"])
+            number = Decimal(text)
         except ArithmeticError:
-            raise SchemaError(path, f"unparseable number {raw['number']!r}") from None
+            raise SchemaError(path, f"unparseable number {text!r}") from None
         return _number_cell(number, path)
     raise SchemaError(path, f"not a cell value: {raw!r}")
 
@@ -423,59 +424,37 @@ def _cell_to_json(cell: Cell) -> Any:
     return cell.value
 
 
-def query_from_json(raw: Any, path: str = "query") -> QuerySpec:
-    if not isinstance(raw, dict):
-        raise SchemaError(path, "must be an object")
-    select = raw.get("select", [])
-    if not isinstance(select, list) or not all(isinstance(s, str) for s in select):
-        raise SchemaError(f"{path}.select", "must be a list of column names")
-    raw_filters = raw.get("filters", [])
-    if not isinstance(raw_filters, list):
-        raise SchemaError(f"{path}.filters", "must be a list")
-    filters = []
-    for i, f in enumerate(raw_filters):
-        fp = f"{path}.filters[{i}]"
-        if not isinstance(f, dict) or not isinstance(f.get("column"), str):
-            raise SchemaError(fp, "must be {'column', 'op', 'value'}")
-        if f.get("op") not in COMPARATORS:
-            raise SchemaError(fp, f"unknown comparator {f.get('op')!r}")
-        filters.append(Filter(f["column"], f["op"], _cell_from_json(f.get("value"), fp)))
-    aggregate = None
-    if raw.get("aggregate") is not None:
-        a = raw["aggregate"]
-        if not isinstance(a, dict) or a.get("fn") not in AGGREGATE_FNS:
-            raise SchemaError(f"{path}.aggregate", "must be {'fn', 'column'} with a known fn")
-        if not isinstance(a.get("column"), (str, type(None))):
-            raise SchemaError(f"{path}.aggregate", "'column' must be a column name or null")
-        try:
-            aggregate = Aggregate(a["fn"], a.get("column"))
-        except ValueError as exc:
-            raise SchemaError(f"{path}.aggregate", str(exc)) from None
-    order = None
-    if raw.get("order") is not None:
-        o = raw["order"]
-        if not isinstance(o, dict):
-            raise SchemaError(f"{path}.order", "must be an object")
-        if not isinstance(o.get("by"), (str, type(None))):
-            raise SchemaError(f"{path}.order", "'by' must be a column name or null")
-        if not isinstance(o.get("descending", False), bool):
-            raise SchemaError(f"{path}.order.descending", "must be true or false")
-        order = Order(o.get("by"), o.get("descending", False))
-    group_by = raw.get("group_by")
-    if group_by is not None and not isinstance(group_by, str):
-        raise SchemaError(f"{path}.group_by", "must be a column name or null")
-    if not isinstance(raw.get("distinct", False), bool):
-        raise SchemaError(f"{path}.distinct", "must be true or false")
+def _filter_from_json(raw: Any, path: str) -> Filter:
+    return Filter(
+        **obj(raw, path, column=string, op=choice(COMPARATORS), value=(_cell_from_json, None))
+    )
+
+
+def _aggregate_from_json(raw: Any, path: str) -> Aggregate:
+    fields = obj(raw, path, fn=choice(AGGREGATE_FNS), column=(nullable(string), None))
     try:
-        return QuerySpec(
-            select=tuple(select),
-            filters=tuple(filters),
-            group_by=group_by,
-            aggregate=aggregate,
-            distinct=raw.get("distinct", False),
-            order=order,
-            limit=raw.get("limit"),
-        )
+        return Aggregate(**fields)
+    except ValueError as exc:
+        raise SchemaError(path, str(exc)) from None
+
+
+def _order_from_json(raw: Any, path: str) -> Order:
+    return Order(**obj(raw, path, by=(nullable(string), None), descending=(boolean, False)))
+
+
+def query_from_json(raw: Any, path: str = "query") -> QuerySpec:
+    fields = obj(
+        raw, path,
+        select=(list_of(string), []),
+        filters=(list_of(_filter_from_json), []),
+        group_by=(nullable(string), None),
+        aggregate=(nullable(_aggregate_from_json), None),
+        distinct=(boolean, False),
+        order=(nullable(_order_from_json), None),
+        limit=(nullable(integer), None),
+    )
+    try:
+        return QuerySpec(**fields)
     except ValueError as exc:
         raise SchemaError(path, str(exc)) from None
 
@@ -501,29 +480,16 @@ def query_to_json(q: QuerySpec) -> dict:
 
 
 def answer_from_json(raw: Any, path: str = "answer") -> Answer:
-    if not isinstance(raw, dict) or "type" not in raw:
-        raise SchemaError(path, "must be an object with a 'type'")
-    kind = raw["type"]
-    if kind == "scalar":
-        return Answer.scalar(_cell_from_json(raw.get("value"), f"{path}.value"))
-    if kind == "list":
-        values = raw.get("values")
-        if not isinstance(values, list):
-            raise SchemaError(f"{path}.values", "must be a list")
-        return Answer.value_list(
-            [_cell_from_json(v, f"{path}.values[{i}]") for i, v in enumerate(values)]
-        )
-    if kind == "records":
-        records = raw.get("records")
-        if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
-            raise SchemaError(f"{path}.records", "must be a list of objects")
-        return Answer.of_records(
-            [
-                {k: _cell_from_json(v, f"{path}.records[{i}].{k}") for k, v in r.items()}
-                for i, r in enumerate(records)
-            ]
-        )
-    raise SchemaError(f"{path}.type", f"unknown answer type {kind!r}")
+    if not isinstance(raw, dict):
+        raise SchemaError(path, "must be an object")
+    kind = choice(AnswerKind)(raw.get("type"), f"{path}.type")
+    if kind is AnswerKind.SCALAR:
+        return Answer.scalar(obj(raw, path, type=string, value=(_cell_from_json, None))["value"])
+    if kind is AnswerKind.VALUE_LIST:
+        values = obj(raw, path, type=string, values=list_of(_cell_from_json))["values"]
+        return Answer.value_list(values)
+    records = obj(raw, path, type=string, records=list_of(dict_of(string, _cell_from_json)))
+    return Answer.of_records(records["records"])
 
 
 def answer_to_json(answer: Answer) -> dict:
@@ -538,24 +504,9 @@ def answer_to_json(answer: Answer) -> dict:
 
 
 def purpose_from_json(raw: Any, path: str = "purpose") -> Purpose:
-    if not isinstance(raw, dict):
-        raise SchemaError(path, "must be an object")
-    for key in ("id", "statement", "category"):
-        if not isinstance(raw.get(key), str):
-            raise SchemaError(f"{path}.{key}", "must be a string")
-    try:
-        category = PurposeCategory(raw["category"])
-    except ValueError:
-        raise SchemaError(f"{path}.category", f"unknown category {raw['category']!r}") from None
-    targets = raw.get("target_columns")
-    if not isinstance(targets, list) or not all(isinstance(t, str) for t in targets):
-        raise SchemaError(f"{path}.target_columns", "must be a list of column names")
-    return Purpose(
-        id=raw["id"],
-        statement=raw["statement"],
-        category=category,
-        target_columns_gold=tuple(targets),
-        query=query_from_json(raw.get("query"), f"{path}.query"),
-        gold_answer=answer_from_json(raw.get("gold_answer"), f"{path}.gold_answer"),
+    fields = obj(
+        raw, path, id=string, statement=string, category=choice(PurposeCategory),
+        target_columns=list_of(string), query=query_from_json, gold_answer=answer_from_json,
     )
-
+    fields["target_columns_gold"] = fields.pop("target_columns")
+    return Purpose(**fields)

@@ -30,6 +30,7 @@ from typing import Any
 
 from .cells import Cell, CellKind
 from .errors import ParseError, SchemaError
+from .jsonread import obj, string
 
 PREFIX = "jython:"
 
@@ -84,10 +85,9 @@ class TransformExpr:
     @classmethod
     def from_json(cls, raw: Any, path: str) -> "TransformExpr":
         """Parse ``{"expression": "<snippet>"}``."""
-        if not isinstance(raw, dict) or not isinstance(raw.get("expression"), str):
-            raise SchemaError(path, "regexr_transform requires an 'expression' argument")
+        expression = obj(raw, path, expression=string)["expression"]
         try:
-            return parse_transform_expr(raw["expression"])
+            return parse_transform_expr(expression)
         except ParseError as exc:
             raise SchemaError(f"{path}.expression", str(exc)) from exc
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from decimal import Decimal
 from typing import Any
 
 from .errors import DcflowError, ReplayError, SchemaError
+from .jsonread import choice, decode_json, integer, list_of, nullable, obj, string
 from .ops import (
     ARG_TYPES,
     MassEditSpec,
@@ -144,49 +144,24 @@ def _parse_args(op: OpKind, raw: Any, path: str) -> MassEditSpec | TransformExpr
     return None if arg_type is None else arg_type.from_json(raw, path)
 
 
-def decode_json(data: bytes, label: str) -> Any:
-    """The one reader of JSON files: UTF-8, fractions as ``Decimal``. Bad
-    UTF-8 or JSON, an integer past Python's digit limit and nesting past the
-    recursion limit all become ``SchemaError(label, "unreadable JSON (...)")``."""
-    try:
-        return json.loads(data.decode("utf-8"), parse_float=Decimal)
-    except (ValueError, RecursionError) as exc:
-        raise SchemaError(label, f"unreadable JSON ({exc})") from exc
+def _step_from_json(raw: Any, path: str) -> tuple[int, OpSpec]:
+    step = obj(
+        raw, path, index=integer, op=choice(OpKind), column=string,
+        args=(lambda args, _: args, None),  # read by ``op``'s argument type below
+        rationale=(nullable(string), None),
+    )
+    args = _parse_args(step["op"], step["args"], f"{path}.args")
+    return step["index"], OpSpec(step["op"], step["column"], args, step["rationale"])
 
 
 def deserialize(data: bytes) -> Workflow:
-    doc = decode_json(data, "$")
-    if not isinstance(doc, dict):
-        raise SchemaError("$", "top level must be an object")
-    if doc.get("version") != SCHEMA_VERSION:
-        raise SchemaError("version", f"expected {SCHEMA_VERSION!r}, got {doc.get('version')!r}")
-    source_table_id = doc.get("source_table_id", "")
-    if not isinstance(source_table_id, str):
-        raise SchemaError("source_table_id", "must be a string")
-    purpose_id = doc.get("purpose_id")
-    if purpose_id is not None and not isinstance(purpose_id, str):
-        raise SchemaError("purpose_id", "must be a string or null")
-    raw_steps = doc.get("steps")
-    if not isinstance(raw_steps, list):
-        raise SchemaError("steps", "must be a list")
-    steps = []
-    for i, raw in enumerate(raw_steps):
-        path = f"steps[{i}]"
-        if not isinstance(raw, dict):
-            raise SchemaError(path, "must be an object")
-        op_name = raw.get("op")
-        try:
-            op = OpKind(op_name)
-        except ValueError:
-            raise SchemaError(f"{path}.op", f"unknown operation {op_name!r}") from None
-        column = raw.get("column")
-        if not isinstance(column, str):
-            raise SchemaError(f"{path}.column", "must be a string")
-        if type(raw.get("index")) is not int or raw["index"] != i + 1:
-            raise SchemaError(f"{path}.index", f"must be {i + 1}")
-        rationale = raw.get("rationale")
-        if rationale is not None and not isinstance(rationale, str):
-            raise SchemaError(f"{path}.rationale", "must be a string or null")
-        args = _parse_args(op, raw.get("args"), f"{path}.args")
-        steps.append(OpSpec(op, column, args, rationale))
-    return Workflow(tuple(steps), source_table_id, purpose_id)
+    doc = obj(
+        decode_json(data, "$"), "$", version=choice((SCHEMA_VERSION,)),
+        source_table_id=(string, ""), purpose_id=(nullable(string), None),
+        steps=list_of(_step_from_json),
+    )
+    for i, (index, _) in enumerate(doc["steps"]):
+        if index != i + 1:
+            raise SchemaError(f"steps[{i}].index", f"must be {i + 1}")
+    steps = tuple(step for _, step in doc["steps"])
+    return Workflow(steps, doc["source_table_id"], doc["purpose_id"])

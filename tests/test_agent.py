@@ -697,10 +697,17 @@ def test_http_backend_sends_exact_body_bytes_and_headers(flaky_server, monkeypat
         ([(200, b"not json")], "malformed completion response: Expecting value"),
         ([(200, b'{"choices": []}')], "malformed completion response: list index out of range"),
         ([(200, b'{"choices": [{}]}')], "malformed completion response: 'message'"),
+        (
+            [(200, b'{"choices": [{"message": {"content": null}}]}')],
+            "malformed completion response: content is None",
+        ),
         ([DROP, DROP], "transport error: "),
         ([(200, b'{"choices": [', {"Content-Length": "100"})] * 2, "transport error: "),
     ],
-    ids=["5xx-twice", "4xx", "204", "not-json", "no-choices", "no-message", "dropped", "short-body"],
+    ids=[
+        "5xx-twice", "4xx", "204", "not-json", "no-choices", "no-message", "null-content",
+        "dropped", "short-body",
+    ],
 )
 def test_http_backend_failures_are_backend_errors(flaky_server, replies, message):
     _FlakyHandler.replies = list(replies)

@@ -241,6 +241,17 @@ def test_load_case_names_a_directory_as_schema_error(cases_dir, tmp_path, key):
     assert exc.value.reason.startswith("unreadable file (")
 
 
+def test_load_case_names_a_path_with_a_nul_byte_as_schema_error(cases_dir, tmp_path):
+    doc = json.loads((cases_dir / "menu" / "case.json").read_text())
+    doc["raw_table"] = "raw\x00.csv"
+    manifest = tmp_path / "case.json"
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError) as exc:
+        load_case(manifest)
+    assert exc.value.path == "raw_table"
+    assert exc.value.reason == "unreadable file (embedded null byte)"
+
+
 def test_load_case_wraps_a_malformed_silver_workflow(cases_dir, tmp_path):
     shutil.copytree(cases_dir / "menu", tmp_path / "menu")
     (tmp_path / "menu" / "silver.json").write_text('{"version": "nope"}')
@@ -389,9 +400,9 @@ _LOG_ENTRY = {"row": 0, "column": "a", "original": "x", "corrupted": "y", "famil
     "read, raw, path",
     [
         (query_from_json, {"select": ["a"], "filters": 3}, "query.filters"),
-        (query_from_json, {"select": ["a"], "limit": True}, "query"),
+        (query_from_json, {"select": ["a"], "limit": True}, "query.limit"),
         (query_from_json, {"select": ["a"], "limit": -1}, "query"),
-        (query_from_json, {"select": ["a"], "limit": 1.0}, "query"),
+        (query_from_json, {"select": ["a"], "limit": 1.0}, "query.limit"),
         (deserialize, _one_step_doc(True), "steps[0].index"),
         (ErrorProfile.from_json, {"rate": 0.1, "columns": ["a"], "seed": True}, "profile.seed"),
         (ErrorProfile.from_json, {"rate": True, "columns": ["a"]}, "profile.rate"),
@@ -400,15 +411,19 @@ _LOG_ENTRY = {"row": 0, "column": "a", "original": "x", "corrupted": "y", "famil
             {"rate": 0.1, "columns": ["a"], "mix": {"formatting": True}},
             "profile.mix.formatting",
         ),
-        (ErrorLog.from_json, [{**_LOG_ENTRY, "row": True}], "error_log[0]"),
+        (ErrorLog.from_json, [{**_LOG_ENTRY, "row": True}], "error_log[0].row"),
         (query_from_json, {"select": ["a"], "distinct": "false"}, "query.distinct"),
         (
             query_from_json,
             {"select": ["a"], "order": {"by": "a", "descending": "false"}},
             "query.order.descending",
         ),
-        (query_from_json, {"select": ["a"], "order": {"by": 5}}, "query.order"),
-        (query_from_json, {"select": [], "aggregate": {"fn": "max", "column": 5}}, "query.aggregate"),
+        (query_from_json, {"select": ["a"], "order": {"by": 5}}, "query.order.by"),
+        (
+            query_from_json,
+            {"select": [], "aggregate": {"fn": "max", "column": 5}},
+            "query.aggregate.column",
+        ),
         (
             ErrorProfile.from_json,
             {"rate": 0.1, "columns": ["a"], "mix": {"formatting": float("nan")}},

@@ -374,8 +374,8 @@ def test_clean_with_malformed_script_exits_1(runner, tmp_path):
 @pytest.mark.parametrize(
     "key, value, reason",
     [
-        ("contains", 5, "script.entries[0].contains: must be a string or null"),
-        ("column", ["x"], "script.entries[0].column: must be a string or null"),
+        ("contains", 5, "script.entries[0].contains: must be a string"),
+        ("column", ["x"], "script.entries[0].column: must be a string"),
     ],
     ids=["contains-int", "column-list"],
 )

@@ -206,6 +206,14 @@ def test_eval_answer_scalar_vs_list_coerced():
     assert scores.precision == 1.0 and scores.recall == 1.0
 
 
+def test_eval_answer_matches_records_whatever_their_key_order():
+    pred = Answer.of_records([{"zip": Cell.text("60614"), "value": Cell.number(3)}])
+    gold = Answer.of_records([{"value": Cell.number(3), "zip": Cell.text("60614")}])
+    scores = eval_answer(pred, gold)
+    assert scores.exact
+    assert (scores.precision, scores.recall) == (1.0, 1.0)
+
+
 def test_eval_answer_precision_recall_swap():
     a = Answer.value_list([Cell.text("x"), Cell.text("y")])
     b = Answer.value_list([Cell.text("y")])

@@ -128,6 +128,30 @@ def test_group_by_aggregate_records():
     ] == [("60614", "120"), ("61801", "30000")]
 
 
+_JAN = [Cell.date(datetime(2023, 1, d, tzinfo=timezone.utc)) for d in (1, 5, 9)]
+_JAN1, _JAN9 = "2023-01-01T00:00:00Z", "2023-01-09T00:00:00Z"
+
+
+@pytest.mark.parametrize(
+    "cells, smallest, biggest",
+    [
+        # Numbers: text that does not coerce is ignored, and 1,200 outranks 30.
+        ([Cell.text("30"), Cell.text("1,200"), Cell.text("N/A"), Cell.missing()], "30", "1200"),
+        ([_JAN[1], _JAN[0], _JAN[2]], _JAN1, _JAN9),
+        # Text: a date among text cells is ranked by its rendering.
+        ([Cell.text("pear"), Cell.text("apple"), _JAN[0]], _JAN1, "pear"),
+    ],
+    ids=["numbers", "dates", "text"],
+)
+def test_min_and_max_in_each_domain(cells, smallest, biggest):
+    t = Table.from_rows(["v"], [[c] for c in cells])
+    got = [
+        execute_purpose(QuerySpec(aggregate=Aggregate(fn, "v")), t).value.render()
+        for fn in ("min", "max")
+    ]
+    assert got == [smallest, biggest]
+
+
 def test_sum_and_mean_skip_uncoercible():
     t = Table.from_rows(
         ["n"], [[Cell.text("10")], [Cell.text("N/A")], [Cell.text("20")], [Cell.missing()]]

@@ -222,20 +222,15 @@ _GRAMMAR = (
     [
         ("upper", {"edits": []}, "steps[0].args", "upper takes no arguments"),
         ("trim", "x", "steps[0].args", "trim takes no arguments"),
-        ("mass_edit", {}, "steps[0].args", "mass_edit requires an 'edits' argument object"),
-        ("mass_edit", None, "steps[0].args", "mass_edit requires an 'edits' argument object"),
-        (
-            "regexr_transform",
-            {},
-            "steps[0].args",
-            "regexr_transform requires an 'expression' argument",
-        ),
+        ("mass_edit", {}, "steps[0].args.edits", "missing required key"),
+        ("mass_edit", None, "steps[0].args", "must be an object"),
+        ("regexr_transform", {}, "steps[0].args.expression", "missing required key"),
         ("mass_edit", {"edits": "x"}, "steps[0].args.edits", "must be a list"),
         (
             "mass_edit",
             {"edits": [{"from": "a", "to": "b"}]},
-            "steps[0].args.edits[0]",
-            "must be {'from': [str], 'to': str}",
+            "steps[0].args.edits[0].from",
+            "must be a list",
         ),
         (
             "mass_edit",
@@ -252,14 +247,14 @@ _GRAMMAR = (
         (
             "regexr_transform",
             {"expr": "jython: return value"},
-            "steps[0].args",
-            "regexr_transform requires an 'expression' argument",
+            "steps[0].args.expr",
+            "unknown key",
         ),
         (
             "regexr_transform",
             {"expression": 3},
-            "steps[0].args",
-            "regexr_transform requires an 'expression' argument",
+            "steps[0].args.expression",
+            "must be a string",
         ),
         (
             "regexr_transform",
