@@ -310,8 +310,11 @@ class CaseManifest:
 
 def load_case(manifest_path: str | Path) -> CaseManifest:
     manifest_path = Path(manifest_path)
+    doc = read_json(manifest_path, "manifest")
+    if not isinstance(doc, dict):  # named after the file, not the bare root "$"
+        raise SchemaError("manifest", "must be an object")
     doc = obj(
-        read_json(manifest_path, "manifest"), "$", purpose=purpose_from_json,
+        doc, "$", purpose=purpose_from_json,
         raw_table=string, gold_table=string, silver_workflow=string,
         error_log=(nullable(string), None),
     )

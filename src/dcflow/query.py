@@ -4,20 +4,30 @@ Each benchmark purpose carries a QuerySpec so that its answer can be
 computed deterministically from any table, with no model in the loop.
 Semantics, in brief:
 
+- A query projects (``select``, no aggregate) or aggregates, and every
+  field has an effect: ``group_by`` needs an aggregate; ``distinct``,
+  ``order`` and ``limit`` need a projection; ``select`` combines only with
+  ``argmax_by``/``argmin_by``, which take one select column and no
+  ``group_by``. ``QuerySpec`` rejects anything else.
 - Filters AND together. Missing cells fail every filter. Equality and
   ordering coerce text through the numeric grammar where possible (and
   through the date formats for ``before``/``after``); rows whose cells
   cannot be compared under the comparator are excluded.
-- Aggregates skip missing cells. ``min``/``max`` prefer the numeric domain
-  value by value (non-coercible values are ignored), falling back to date
-  instants and then rendered text. The argmax/argmin orderings pick one
-  domain for the whole column: numeric only if every value coerces, date
-  instants only if every cell is a date, rendered text otherwise.
-- ``group_by`` with an aggregate yields records of the form
-  ``{<group column>: key, "value": aggregate}``, sorted by group key.
-- ``argmax_by``/``argmin_by`` return the first select column's value(s) at
-  the extreme of the aggregate column: a scalar when one distinct value
-  remains, else a value list. They do not combine with ``group_by``.
+- A projection yields a value list (one select column) or records.
+  ``distinct`` keeps the first row of each rendering, ``order`` sorts by
+  ``order.by`` (a select column) or, when ``by`` is null, by each select
+  column in turn, and ``limit`` keeps the first rows.
+- Aggregates skip missing cells. ``group_by`` yields records of the form
+  ``{<group column>: key, "value": aggregate}``, one per present key.
+  ``argmax_by``/``argmin_by`` return the select column's value(s) at the
+  extreme of the aggregate column: a scalar when one distinct value
+  remains, else a value list.
+- Two ordering rules. ``min``/``max`` prefer numbers value by value
+  (non-coercible values are ignored), then date instants, then rendered
+  text. Every sort (``order``, group records, argmax/argmin and their value
+  lists) picks one domain for the whole column: numbers if every present
+  value coerces, instants if every present cell is a date, else rendered
+  text. Missing cells sort first; ties keep table order either way.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ from decimal import Decimal
 from enum import Enum
 from typing import Any, Callable, Mapping, Optional, Sequence
 
-from .cells import Cell, CellKind, cell_instant, cell_number, format_number, parse_date
+from .cells import MISSING, Cell, CellKind, cell_instant, cell_number, format_number, parse_date
 from .errors import SchemaError, TypeMismatchError
 from .jsonread import boolean, choice, dict_of, integer, list_of, nullable, obj, string
 from .table import Table
@@ -44,16 +54,7 @@ class PurposeCategory(Enum):
 
 
 COMPARATORS = ("=", "!=", "<", "<=", ">", ">=", "contains", "before", "after")
-AGGREGATE_FNS = (
-    "count",
-    "count_distinct",
-    "min",
-    "max",
-    "sum",
-    "mean",
-    "argmax_by",
-    "argmin_by",
-)
+AGGREGATE_FNS = ("count", "count_distinct", "min", "max", "sum", "mean", "argmax_by", "argmin_by")
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,7 @@ class Aggregate:
 
 @dataclass(frozen=True)
 class Order:
-    by: Optional[str] = None  # None sorts a value list by its own values
+    by: Optional[str] = None  # None sorts by every select column in turn
     descending: bool = False
 
 
@@ -96,16 +97,27 @@ class QuerySpec:
     limit: Optional[int] = None
 
     def __post_init__(self):
-        """The rules that need no table; ``execute_purpose`` checks the rest."""
+        """Rejects each field execution would ignore; the table is checked later."""
         agg = self.aggregate
-        if agg is not None and agg.fn in ("argmax_by", "argmin_by"):
+        if agg is None:
+            if not self.select:
+                raise ValueError("a query needs a select column or an aggregate")
+            if self.group_by is not None:
+                raise ValueError("group_by requires an aggregate")
+            if self.order is not None and self.order.by not in (None, *self.select):
+                raise ValueError(f"order.by {self.order.by!r} is not a select column")
+        elif self.distinct or self.order is not None or self.limit is not None:
+            name = "distinct" if self.distinct else "order" if self.order is not None else "limit"
+            raise ValueError(f"{name} does not combine with an aggregate")
+        elif agg.fn in ("argmax_by", "argmin_by"):
             if self.group_by is not None:
                 raise ValueError(f"{agg.fn} does not combine with group_by")
             if not self.select:
                 raise ValueError(f"{agg.fn} requires a select column")
-        order_by = self.order.by if self.order is not None else None
-        if agg is None and order_by is not None and order_by not in self.select:
-            raise ValueError(f"order.by {order_by!r} is not a select column")
+            if len(self.select) > 1:
+                raise ValueError(f"{agg.fn} takes one select column, not {len(self.select)}")
+        elif self.select:
+            raise ValueError(f"select does not combine with {agg.fn}")
         if self.limit is not None and (type(self.limit) is not int or self.limit < 0):
             raise ValueError("limit must be a non-negative integer or null")
 
@@ -149,14 +161,13 @@ class Purpose:
 # ---------------------------------------------------------------------------
 # execution
 
-def _row_test(f: Filter, table: Table) -> Callable[[tuple[Cell, ...]], bool]:
-    """The test ``f`` applies to each row of ``table``.
+def _cell_test(f: Filter) -> Callable[[Cell], bool]:
+    """The test ``f`` applies to each cell of its column.
 
-    The column index and the literal's number, instant and rendering are
-    computed once. A cell is coerced only into a domain the literal has,
-    and a text cell's verdict is computed once per distinct value.
+    The literal's number, instant and rendering are computed once. A cell
+    is coerced only into a domain the literal has, and a text cell's
+    verdict is computed once per distinct value.
     """
-    j = table.column_index(f.column)
     op = f.op
     lit_text = f.value.render()
     lit_number = cell_number(f.value)
@@ -164,8 +175,7 @@ def _row_test(f: Filter, table: Table) -> Callable[[tuple[Cell, ...]], bool]:
     lit_is_text = f.value.kind is CellKind.TEXT
 
     def compare(cell: Cell) -> Optional[int]:
-        """Three-way comparison of ``cell`` with the literal in the first
-        domain both coerce to, number then instant; None if neither."""
+        """``cell`` against the literal in the first domain both coerce to."""
         if lit_number is not None:
             n = cell_number(cell)
             if n is not None:
@@ -181,11 +191,9 @@ def _row_test(f: Filter, table: Table) -> Callable[[tuple[Cell, ...]], bool]:
             return False
         if op == "contains":
             return lit_text in cell.render()
-        if op in ("before", "after"):
+        if op in ("before", "after"):  # the literal is an instant (_validate_query)
             got = cell_instant(cell)
-            if lit_instant is None or got is None:
-                return False
-            return got < lit_instant if op == "before" else got > lit_instant
+            return got is not None and (got < lit_instant if op == "before" else got > lit_instant)
         cmp = compare(cell)
         if op in ("=", "!="):
             eq = cmp == 0 if cmp is not None else cell.render() == lit_text
@@ -199,8 +207,7 @@ def _row_test(f: Filter, table: Table) -> Callable[[tuple[Cell, ...]], bool]:
 
     verdicts: dict[str, bool] = {}
 
-    def test(row: tuple[Cell, ...]) -> bool:
-        cell = row[j]
+    def test(cell: Cell) -> bool:
         if cell.kind is not CellKind.TEXT:
             return verdict(cell)
         seen = verdicts.get(cell.value)
@@ -218,23 +225,30 @@ def _validate_query(q: QuerySpec, table: Table) -> None:
         table.column_index(f.column)
         if f.op in ("before", "after") and cell_instant(f.value) is None:
             raise TypeMismatchError(f.column, f.op)
-    if q.group_by is not None:
-        table.column_index(q.group_by)
-    if q.aggregate is not None and q.aggregate.column is not None:
-        table.column_index(q.aggregate.column)
-    if q.order is not None and q.order.by is not None:
-        table.column_index(q.order.by)
+    for name in (q.group_by, q.aggregate and q.aggregate.column):
+        if name is not None:
+            table.column_index(name)
 
 
-def _order_domain(values: Sequence[Cell]):
-    """Sort keys for min/max-style ordering; None where a value is outside
-    the domain (mixed content falls back to rendered text)."""
-    numbers = [cell_number(v) for v in values]
-    if values and all(n is not None for n in numbers):
-        return numbers
-    if values and all(v.kind is CellKind.DATE for v in values):
-        return [v.value for v in values]
-    return [v.render() for v in values]
+def _order_keys(cells: Sequence[Cell]) -> list[tuple]:
+    """Sort keys in one domain for the whole column, chosen from its present
+    cells: numbers if every one coerces, instants if every one is a date,
+    rendered text otherwise. Missing cells sort first."""
+    numbers = [cell_number(c) for c in cells]
+    present = [(c, n) for c, n in zip(cells, numbers) if not c.is_missing]
+    if all(n is not None for _, n in present):
+        values = numbers
+    elif all(c.kind is CellKind.DATE for c, _ in present):
+        values = [c.value for c in cells]
+    else:
+        values = [c.render() for c in cells]
+    return [(0,) if c.is_missing else (1, v) for c, v in zip(cells, values)]
+
+
+def _sorted(items: Sequence, keys: Sequence, descending: bool = False) -> list:
+    """``items`` in the order of ``keys``; ties keep their order either way."""
+    order = sorted(range(len(items)), key=keys.__getitem__, reverse=descending)
+    return [items[i] for i in order]
 
 
 def _extreme_cell(values: Sequence[Cell], biggest: bool) -> Cell:
@@ -249,13 +263,12 @@ def _extreme_cell(values: Sequence[Cell], biggest: bool) -> Cell:
     return Cell.text(max(renders) if biggest else min(renders))
 
 
-def _aggregate_cell(agg: Aggregate, rows: Sequence[tuple[Cell, ...]], table: Table) -> Cell:
-    if agg.fn == "count" and agg.column is None:
-        return Cell.number(len(rows))
-    j = table.column_index(agg.column)
-    values = [row[j] for row in rows if not row[j].is_missing]
+def _aggregate_cell(agg: Aggregate, cells: Sequence[Cell]) -> Cell:
+    """``agg`` over the kept cells of its column; for ``count`` with no
+    column, one cell per kept row."""
+    values = [c for c in cells if not c.is_missing]
     if agg.fn == "count":
-        return Cell.number(len(values))
+        return Cell.number(len(values if agg.column is not None else cells))
     if agg.fn == "count_distinct":
         return Cell.number(len({v.render() for v in values}))
     if not values:
@@ -271,84 +284,68 @@ def _aggregate_cell(agg: Aggregate, rows: Sequence[tuple[Cell, ...]], table: Tab
     return Cell.number(total / Decimal(len(numbers)))
 
 
-def _argmax_rows(
-    agg: Aggregate, rows: Sequence[tuple[Cell, ...]], table: Table
-) -> list[tuple[Cell, ...]]:
-    j = table.column_index(agg.column)
-    candidates = [row for row in rows if not row[j].is_missing]
-    if not candidates:
-        return []
-    keys = _order_domain([row[j] for row in candidates])
-    pairs = [(k, row) for k, row in zip(keys, candidates) if k is not None]
-    if not pairs:
-        return []
-    extreme = max(p[0] for p in pairs) if agg.fn == "argmax_by" else min(p[0] for p in pairs)
-    return [row for k, row in pairs if k == extreme]
+def _first_of_each(items: Sequence, key: Callable) -> list:
+    """The first item of each distinct ``key``, in their order."""
+    firsts: dict = {}
+    for item in items:
+        firsts.setdefault(key(item), item)
+    return list(firsts.values())
 
 
-def _project(
-    q: QuerySpec, rows: Sequence[tuple[Cell, ...]], table: Table
-) -> Answer:
-    indices = [table.column_index(name) for name in q.select]
-    projected = [tuple(row[j] for j in indices) for row in rows]
+def _arg_extreme(fn: str, by: Sequence[Cell], picked: Sequence[Cell]) -> Answer:
+    """The distinct ``picked`` cells of the rows where ``by`` is extreme."""
+    present = [i for i, c in enumerate(by) if not c.is_missing]
+    keys = _order_keys([by[i] for i in present])
+    extreme = (max if fn == "argmax_by" else min)(keys, default=None)
+    cells = _first_of_each([picked[i] for k, i in zip(keys, present) if k == extreme], Cell.render)
+    cells = _sorted(cells, _order_keys(cells))
+    return Answer.scalar(cells[0]) if len(cells) == 1 else Answer.value_list(cells)
+
+
+def _project(q: QuerySpec, columns: Sequence[Sequence[Cell]]) -> Answer:
+    rows = list(zip(*columns))
     if q.distinct:
-        seen = set()
-        unique = []
-        for row in projected:
-            key = tuple(c.render() for c in row)
-            if key not in seen:
-                seen.add(key)
-                unique.append(row)
-        projected = unique
+        rows = _first_of_each(rows, lambda row: tuple(c.render() for c in row))
     if q.order is not None:
-        if q.order.by is None:
-            projected.sort(key=lambda r: tuple(c.render() for c in r))
-        else:
-            k = q.select.index(q.order.by)
-            projected.sort(key=lambda r: r[k].render())
-        if q.order.descending:
-            projected.reverse()
-    if q.limit is not None:
-        projected = projected[: q.limit]
+        picked = [q.select.index(q.order.by)] if q.order.by is not None else range(len(q.select))
+        keys = list(zip(*(_order_keys([row[j] for row in rows]) for j in picked)))
+        rows = _sorted(rows, keys, q.order.descending)
+    rows = rows[: q.limit]
     if len(q.select) == 1:
-        return Answer.value_list([row[0] for row in projected])
-    return Answer.of_records(
-        [dict(zip(q.select, row)) for row in projected]
-    )
+        return Answer.value_list([row[0] for row in rows])
+    return Answer.of_records([dict(zip(q.select, row)) for row in rows])
 
 
 def execute_purpose(query: QuerySpec, table: Table) -> Answer:
     """Compute a purpose's answer from a table. Pure and deterministic."""
     _validate_query(query, table)
-    tests = [_row_test(f, table) for f in query.filters]
-    rows = [row for row in table.rows if all(test(row) for test in tests)]
+    kept: Sequence[int] = range(table.n_rows)
+    for f in query.filters:
+        test, column = _cell_test(f), table.column_values(f.column)
+        kept = [i for i in kept if test(column[i])]
+
+    def cells(name: Optional[str], rows: Sequence[int] = kept) -> list[Cell]:
+        if name is None:  # ``count`` of rows: one stand-in cell per row
+            return [MISSING] * len(rows)
+        column = table.column_values(name)
+        return [column[i] for i in rows]
+
     agg = query.aggregate
-    if agg is not None and agg.fn in ("argmax_by", "argmin_by"):
-        winners = _argmax_rows(agg, rows, table)
-        j = table.column_index(query.select[0])
-        seen: dict[str, Cell] = {}
-        for row in winners:
-            cell = row[j]
-            seen.setdefault(cell.render(), cell)
-        cells = [seen[k] for k in sorted(seen)]
-        if len(cells) == 1:
-            return Answer.scalar(cells[0])
-        return Answer.value_list(cells)
-    if agg is not None and query.group_by is not None:
-        gj = table.column_index(query.group_by)
-        groups: dict[str, list[tuple[Cell, ...]]] = {}
-        for row in rows:
-            if row[gj].is_missing:
-                continue
-            groups.setdefault(row[gj].render(), []).append(row)
-        records = [
-            {query.group_by: Cell.text(key), "value": _aggregate_cell(agg, groups[key], table)}
-            for key in sorted(groups)
-        ]
-        return Answer.of_records(records)
-    if agg is not None:
-        return Answer.scalar(_aggregate_cell(agg, rows, table))
-    return _project(query, rows, table)
+    if agg is None:
+        return _project(query, [cells(name) for name in query.select])
+    if agg.fn in ("argmax_by", "argmin_by"):
+        return _arg_extreme(agg.fn, cells(agg.column), cells(query.select[0]))
+    if query.group_by is None:
+        return Answer.scalar(_aggregate_cell(agg, cells(agg.column)))
+    groups: dict[str, list[int]] = {}
+    for i, key in zip(kept, cells(query.group_by)):
+        if not key.is_missing:
+            groups.setdefault(key.render(), []).append(i)
+    firsts = [table.column_values(query.group_by)[rows[0]] for rows in groups.values()]
+    return Answer.of_records([
+        {query.group_by: Cell.text(key), "value": _aggregate_cell(agg, cells(agg.column, rows))}
+        for key, rows in _sorted(list(groups.items()), _order_keys(firsts))
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +361,7 @@ def answer_to_canonical_text(answer: Answer) -> str:
         return answer.value.render()
     if answer.kind is AnswerKind.VALUE_LIST:
         return ", ".join(sorted(cell.render() for cell in answer.values))
-    rendered = [
-        {key: cell.render() for key, cell in record.items()} for record in answer.records
-    ]
+    rendered = [{key: cell.render() for key, cell in r.items()} for r in answer.records]
     rendered.sort(key=lambda r: json.dumps(r, sort_keys=True, ensure_ascii=False))
     return json.dumps(rendered, sort_keys=True, ensure_ascii=False)
 
@@ -391,10 +386,8 @@ def _cell_from_json(raw: Any, path: str) -> Cell:
         return Cell.missing()
     if isinstance(raw, str):
         return Cell.text(raw)
-    if type(raw) in (int, Decimal):
-        return _number_cell(Decimal(raw), path)
-    if type(raw) is float:
-        return _number_cell(Decimal(str(raw)), path)
+    if type(raw) in (int, float, Decimal):  # a float through its shortest repr
+        return _number_cell(Decimal(str(raw) if type(raw) is float else raw), path)
     if isinstance(raw, dict) and "date" in raw:
         text = obj(raw, path, date=string)["date"]
         dt = parse_date(text)
@@ -416,9 +409,7 @@ def _cell_to_json(cell: Cell) -> Any:
         return None
     if cell.kind is CellKind.NUMBER:
         d = cell.value
-        if d == d.to_integral_value():
-            return int(d)
-        return {"number": format_number(d)}
+        return int(d) if d == d.to_integral_value() else {"number": format_number(d)}
     if cell.kind is CellKind.DATE:
         return {"date": cell.render()}
     return cell.value
@@ -460,23 +451,20 @@ def query_from_json(raw: Any, path: str = "query") -> QuerySpec:
 
 
 def query_to_json(q: QuerySpec) -> dict:
-    doc: dict[str, Any] = {"select": list(q.select)}
-    if q.filters:
-        doc["filters"] = [
-            {"column": f.column, "op": f.op, "value": _cell_to_json(f.value)}
-            for f in q.filters
-        ]
-    if q.group_by is not None:
-        doc["group_by"] = q.group_by
-    if q.aggregate is not None:
-        doc["aggregate"] = {"fn": q.aggregate.fn, "column": q.aggregate.column}
-    if q.distinct:
-        doc["distinct"] = True
-    if q.order is not None:
-        doc["order"] = {"by": q.order.by, "descending": q.order.descending}
-    if q.limit is not None:
-        doc["limit"] = q.limit
-    return doc
+    """The JSON form of ``q``; fields at their default are left out."""
+    agg, order = q.aggregate, q.order
+    doc = {
+        "select": list(q.select),
+        "filters": [{"column": f.column, "op": f.op, "value": _cell_to_json(f.value)}
+                    for f in q.filters],
+        "group_by": q.group_by,
+        "aggregate": agg and {"fn": agg.fn, "column": agg.column},
+        "distinct": q.distinct,
+        "order": order and {"by": order.by, "descending": order.descending},
+        "limit": q.limit,
+    }
+    return {k: v for k, v in doc.items()
+            if k == "select" or (v is not None and v is not False and v != [])}
 
 
 def answer_from_json(raw: Any, path: str = "answer") -> Answer:
@@ -497,10 +485,8 @@ def answer_to_json(answer: Answer) -> dict:
         return {"type": "scalar", "value": _cell_to_json(answer.value)}
     if answer.kind is AnswerKind.VALUE_LIST:
         return {"type": "list", "values": [_cell_to_json(c) for c in answer.values]}
-    return {
-        "type": "records",
-        "records": [{k: _cell_to_json(c) for k, c in r.items()} for r in answer.records],
-    }
+    records = [{k: _cell_to_json(c) for k, c in r.items()} for r in answer.records]
+    return {"type": "records", "records": records}
 
 
 def purpose_from_json(raw: Any, path: str = "purpose") -> Purpose:

@@ -538,8 +538,9 @@ def test_pipeline_termination_bound_with_adversarial_backend():
 
 
 def test_pipeline_trace_records_every_call_once():
+    # to_jsonl writes U+2028 and U+0085 raw, so records split on "\n" only.
     backend = scripted(
-        {"stage": "select-columns", "response": "```['country']```"},
+        {"stage": "select-columns", "response": "```['country']```\u2028\u0085"},
         {"stage": "inspect-quality", "column": "country", "response": clean_report()},
     )
     result = run_pipeline(backend, demo_table(), _purpose_stub())
@@ -547,7 +548,7 @@ def test_pipeline_trace_records_every_call_once():
     for call in result.trace.calls:
         assert call.params is not None
         assert call.outcome == "ok"
-    lines = result.trace.to_jsonl().strip().splitlines()
+    lines = result.trace.to_jsonl().strip().split("\n")
     assert len(lines) == len(result.trace.calls) + len(result.trace.events)
     for line in lines:
         json.loads(line)

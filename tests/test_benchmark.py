@@ -196,6 +196,38 @@ def test_assert_case_valid_raises_on_gold_mismatch(cases_dir, tmp_path):
         assert_case_valid(case)
 
 
+def test_validate_reports_a_failing_gold_query(cases_dir, tmp_path):
+    case_doc = json.loads((cases_dir / "menu" / "case.json").read_text())
+    case_doc["purpose"]["query"] = {"select": ["no_such_column"]}
+    for name in ("raw.csv", "gold.csv", "silver.json"):
+        (tmp_path / name).write_bytes((cases_dir / "menu" / name).read_bytes())
+    (tmp_path / "case.json").write_text(json.dumps(case_doc))
+    findings = validate_case(load_case(tmp_path / "case.json"))
+    assert [f for f in findings if f.startswith("gold ")] == [
+        "gold query failed: unknown column: 'no_such_column' "
+        "(available: menu_id, event, venue, page_count)"
+    ]
+
+
+def test_validate_reports_missing_targets_and_an_empty_silver(cases_dir, tmp_path):
+    case_doc = json.loads((cases_dir / "menu" / "case.json").read_text())
+    silver = json.loads((cases_dir / "menu" / "silver.json").read_text())
+    silver["steps"] = []  # leaves the padded event names as they are
+    for name in ("raw.csv", "gold.csv"):
+        (tmp_path / name).write_bytes((cases_dir / "menu" / name).read_bytes())
+    (tmp_path / "silver.json").write_text(json.dumps(silver))
+    (tmp_path / "case.json").write_text(json.dumps(case_doc))
+    findings = validate_case(load_case(tmp_path / "case.json"))
+    assert [f.split(" at ratio")[0] for f in findings] == ["silver workflow leaves target columns"]
+    case_doc["purpose"]["target_columns"].append("nope")
+    (tmp_path / "case.json").write_text(json.dumps(case_doc))
+    findings = validate_case(load_case(tmp_path / "case.json"))
+    assert findings[:2] == [
+        "target column 'nope' missing from raw table",
+        "target column 'nope' missing from gold table",
+    ]
+
+
 def test_validate_reports_silver_step_failure(cases_dir, tmp_path):
     case_doc = json.loads((cases_dir / "menu" / "case.json").read_text())
     silver = json.loads((cases_dir / "menu" / "silver.json").read_text())
@@ -373,8 +405,8 @@ def test_injection_judges_each_cell_once_per_family(monkeypatch, rate):
 
 @pytest.mark.parametrize(
     "payload",
-    [b"{not json", b"\xff\xfe not utf-8", b'{"purpose": ' + b"9" * 5000 + b"}"],
-    ids=["bad-json", "bad-utf8", "5000-digit-int"],
+    [b"{not json", b"\xff\xfe not utf-8", b'{"purpose": ' + b"9" * 5000 + b"}", b"[1]"],
+    ids=["bad-json", "bad-utf8", "5000-digit-int", "not-an-object"],
 )
 def test_load_case_malformed_json_is_schema_error(tmp_path, payload):
     p = tmp_path / "case.json"

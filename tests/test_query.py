@@ -20,6 +20,7 @@ from dcflow.query import (
     QuerySpec,
     answer_from_json,
     answer_to_json,
+    purpose_from_json,
     query_from_json,
     query_to_json,
 )
@@ -162,6 +163,19 @@ def test_sum_and_mean_skip_uncoercible():
     assert mean.value.value == Decimal(15)
 
 
+def test_sum_and_mean_of_no_numbers_are_missing():
+    t = Table.from_rows(["n"], [[Cell.text("N/A")], [Cell.missing()]])
+    for fn in ("sum", "mean"):
+        assert execute_purpose(QuerySpec(aggregate=Aggregate(fn, "n")), t).value.is_missing
+
+
+def test_filter_and_aggregate_reject_unknown_names():
+    with pytest.raises(ValueError, match="unknown comparator"):
+        Filter("a", "~", Cell.text("x"))
+    with pytest.raises(ValueError, match="unknown aggregate"):
+        Aggregate("median", "a")
+
+
 def test_count_variants():
     t = Table.from_rows(["n"], [[Cell.text("a")], [Cell.missing()], [Cell.text("a")]])
     rows = execute_purpose(QuerySpec(aggregate=Aggregate("count")), t)
@@ -227,16 +241,20 @@ def test_scalar_text_vs_number_canonical_equality():
 
 
 def test_query_json_round_trip():
-    q = QuerySpec(
-        select=("a",),
+    projection = QuerySpec(
+        select=("a", "b"),
         filters=(Filter("b", "<", Cell.number(10)),),
-        group_by=None,
-        aggregate=Aggregate("count_distinct", "a"),
         distinct=True,
         order=Order(by="a", descending=True),
         limit=5,
     )
-    assert query_from_json(query_to_json(q)) == q
+    grouped = QuerySpec(
+        filters=(Filter("a", "after", Cell.date(datetime(2023, 1, 5))),),
+        group_by="a",
+        aggregate=Aggregate("count_distinct", "b"),
+    )
+    for q in (projection, grouped):
+        assert query_from_json(query_to_json(q)) == q
 
 
 def test_answer_json_round_trip():
@@ -373,6 +391,43 @@ BAD_SHAPES = [
         "query",
         "order.by 'b' is not a select column",
     ),
+    ({}, "query", "a query needs a select column or an aggregate"),
+    ({"select": ["a"], "group_by": "a"}, "query", "group_by requires an aggregate"),
+    (
+        {"aggregate": {"fn": "count"}, "distinct": True},
+        "query",
+        "distinct does not combine with an aggregate",
+    ),
+    (
+        {"aggregate": {"fn": "sum", "column": "a"}, "order": {"by": None}},
+        "query",
+        "order does not combine with an aggregate",
+    ),
+    (
+        {"group_by": "k", "aggregate": {"fn": "count"}, "limit": 1},
+        "query",
+        "limit does not combine with an aggregate",
+    ),
+    (
+        {"select": ["name"], "aggregate": {"fn": "argmax_by", "column": "n"}, "limit": 0},
+        "query",
+        "limit does not combine with an aggregate",
+    ),
+    (
+        {"select": ["a"], "aggregate": {"fn": "count"}},
+        "query",
+        "select does not combine with count",
+    ),
+    (
+        {"select": ["a"], "group_by": "a", "aggregate": {"fn": "max", "column": "b"}},
+        "query",
+        "select does not combine with max",
+    ),
+    (
+        {"select": ["a", "b"], "aggregate": {"fn": "argmin_by", "column": "c"}},
+        "query",
+        "argmin_by takes one select column, not 2",
+    ),
 ]
 
 
@@ -390,8 +445,117 @@ def test_queryspec_rejects_bad_shapes():
         QuerySpec(aggregate=Aggregate("argmax_by", "b"))
     with pytest.raises(ValueError):
         QuerySpec(select=("a",), order=Order(by="b"))
-    # An aggregate ignores ``order``, so its ``by`` need not be selected.
-    QuerySpec(aggregate=Aggregate("count"), order=Order(by="b"))
+    # An aggregate would ignore ``order``, so any ``order`` with one is an error.
+    with pytest.raises(ValueError, match="order"):
+        QuerySpec(aggregate=Aggregate("count"), order=Order(by="b"))
+
+
+def test_purpose_names_its_query_in_shape_errors():
+    raw = {
+        "id": "p", "statement": "s", "category": "Filtering", "target_columns": ["a"],
+        "query": {"select": ["a"], "aggregate": {"fn": "count"}},
+        "gold_answer": {"type": "scalar", "value": 1},
+    }
+    with pytest.raises(SchemaError) as exc:
+        purpose_from_json(raw)
+    assert exc.value.path == "purpose.query"
+    assert exc.value.reason == "select does not combine with count"
+
+
+# projections: records, order, distinct and limit ---------------------------
+
+def _name_n_table(ns):
+    return Table.from_rows(
+        ["name", "n"], [[Cell.text(f"r{i}"), Cell.text(n)] for i, n in enumerate(ns)]
+    )
+
+
+def test_order_by_sorts_numbers_as_numbers():
+    q = query_from_json({"select": ["name", "n"], "order": {"by": "n", "descending": True}})
+    answer = execute_purpose(q, _name_n_table(["9", "10", "100"]))
+    assert answer.kind is AnswerKind.RECORDS
+    assert [(r["name"].render(), r["n"].render()) for r in answer.records] == [
+        ("r2", "100"), ("r1", "10"), ("r0", "9")
+    ]
+
+
+@pytest.mark.parametrize("descending", [False, True])
+def test_order_ties_keep_table_order_in_both_directions(descending):
+    q = QuerySpec(select=("name", "n"), order=Order(by="n", descending=descending))
+    answer = execute_purpose(q, _name_n_table(["2", "1", "2", "1"]))
+    names = [r["name"].render() for r in answer.records]
+    assert names == (["r0", "r2", "r1", "r3"] if descending else ["r1", "r3", "r0", "r2"])
+
+
+def test_order_by_null_sorts_by_each_select_column_in_turn():
+    t = Table.from_rows(
+        ["k", "n"],
+        [[Cell.text(kn[0]), Cell.text(kn[1:])] for kn in ["b10", "a9", "b9", "a10"]],
+    )
+    q = QuerySpec(select=("k", "n"), order=Order(by=None), limit=3)
+    answer = execute_purpose(q, t)
+    assert [(r["k"].render(), r["n"].render()) for r in answer.records] == [
+        ("a", "9"), ("a", "10"), ("b", "9")
+    ]
+
+
+def test_missing_cells_sort_first_and_leave_the_domain_numeric():
+    t = Table.from_rows(["n"], [[Cell.text("10")], [Cell.missing()], [Cell.text("9")]])
+    answer = execute_purpose(QuerySpec(select=("n",), order=Order(by="n")), t)
+    assert [c.render() for c in answer.values] == ["", "9", "10"]
+
+
+def test_distinct_records_keep_the_first_row_of_each_rendering():
+    t = Table.from_rows(
+        ["a", "b"],
+        [
+            [Cell.text("x"), Cell.number(1)],
+            [Cell.text("x"), Cell.text("1")],
+            [Cell.text("y"), Cell.missing()],
+        ],
+    )
+    answer = execute_purpose(QuerySpec(select=("a", "b"), distinct=True), t)
+    assert [(r["a"].render(), r["b"].kind) for r in answer.records] == [
+        ("x", CellKind.NUMBER), ("y", CellKind.MISSING)
+    ]
+
+
+def test_group_records_and_argmax_values_sort_by_the_column_domain():
+    t = Table.from_rows(
+        ["k", "v"], [[Cell.text(k), Cell.text("1")] for k in ["10", "9", "100", "9"]]
+    )
+    grouped = execute_purpose(QuerySpec(group_by="k", aggregate=Aggregate("count")), t)
+    assert [(r["k"].render(), r["value"].render()) for r in grouped.records] == [
+        ("9", "2"), ("10", "1"), ("100", "1")
+    ]
+    tied = execute_purpose(QuerySpec(select=("k",), aggregate=Aggregate("argmax_by", "v")), t)
+    assert [c.render() for c in tied.values] == ["9", "10", "100"]
+
+
+# JSON cell forms -------------------------------------------------------------
+
+def test_cell_json_forms():
+    answer = answer_from_json(
+        {"type": "list", "values": [2.5, {"date": "Jan 5, 2023"}, {"number": "1.50"}, None]}
+    )
+    assert [c.kind for c in answer.values] == [
+        CellKind.NUMBER, CellKind.DATE, CellKind.NUMBER, CellKind.MISSING
+    ]
+    assert [c.render() for c in answer.values] == ["2.5", "2023-01-05T00:00:00Z", "1.5", ""]
+
+
+@pytest.mark.parametrize(
+    "raw, reason",
+    [
+        ({"date": "soon"}, "unparseable date 'soon'"),
+        ({"number": "12abc"}, "unparseable number '12abc'"),
+        ([1], "not a cell value: [1]"),
+    ],
+)
+def test_cell_json_rejects_unparseable_forms(raw, reason):
+    with pytest.raises(SchemaError) as exc:
+        answer_from_json({"type": "list", "values": [raw]})
+    assert (exc.value.path, exc.value.reason) == ("answer.values[0]", reason)
 
 
 @pytest.mark.parametrize(
