@@ -1,29 +1,31 @@
 """Restricted cell-transform snippets: parser and evaluator.
 
-Snippets look like tiny Python programs prefixed with ``jython:`` but they
-are parsed by a closed grammar, never executed by a real interpreter. The
-accepted statements, in order, are::
+Snippets are tiny Python programs prefixed with ``jython:``, as in
+OpenRefine. CPython's own parser (``ast``) reads them, so string literals,
+escapes, line breaks, semicolons and indentation mean what they mean in
+Python. The body may follow the prefix on its line or start on the next
+as an indented block. The syntax tree must then fit a closed grammar;
+nothing is ever executed. The accepted statements, in order, are::
 
     jython:
     import re                                   (optional)
-    match = re.search(r'<pattern>', value)      (optional)
-    if match: return match.group(<k>)           (optional, needs the search)
+    match = re.search(<str>, value)             (optional)
+    if match:                                   (optional, needs the search)
+        return match.group(<k>)
     return <expr>                               (optional fallback)
 
 where ``<expr>`` is one of ``value``, a string literal,
-``match.group(<k>)``, ``re.sub(r'<p>', '<r>', value)``, ``value.strip()``,
+``match.group(<k>)``, ``re.sub(<str>, <str>, value)``, ``value.strip()``,
 ``value.upper()`` or ``value.lower()``. At least one return must be
 present. Anything outside the grammar raises ParseError: this is a safety
 boundary for model-generated code, not best-effort scripting.
-
-Quoted pattern/literal content is taken verbatim (the optional ``r`` prefix
-and either quote style are accepted); escape handling is left to the regex
-engine. Statements may be separated by newlines or semicolons.
 """
 
 from __future__ import annotations
 
+import ast
 import re
+import textwrap
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any
@@ -38,20 +40,8 @@ _EXPECTED_STMT = (
     "'import re', 'match = re.search(...)', 'if match: return match.group(k)' "
     "or 'return <expr>'"
 )
-
-# A quoted string with optional r prefix, single or double quotes.
-_QS = r"r?(?:'(?:\\.|[^'\\])*'|\"(?:\\.|[^\"\\])*\")"
-
-_IMPORT_RE = re.compile(r"import\s+re")
-_SEARCH_RE = re.compile(rf"match\s*=\s*re\.search\(\s*({_QS})\s*,\s*value\s*\)")
-_IF_RE = re.compile(r"if\s+match\s*:(.*)", re.DOTALL)
-_RET_GROUP_RE = re.compile(r"return\s+match\.group\(\s*(\d+)\s*\)")
-_RET_VALUE_RE = re.compile(r"return\s+value")
-_RET_LITERAL_RE = re.compile(rf"return\s+({_QS})")
-_RET_SUB_RE = re.compile(
-    rf"return\s+re\.sub\(\s*({_QS})\s*,\s*({_QS})\s*,\s*value\s*\)"
-)
-_RET_METHOD_RE = re.compile(r"return\s+value\.(strip|upper|lower)\(\s*\)")
+_ORDER = "'import re', 'match = re.search(...)', 'if match:', 'return': in that order, once each"
+_IMPORT, _SEARCH, _IF, _RETURN = range(4)  # statement ranks in grammar order
 
 
 class ReturnKind(Enum):
@@ -95,40 +85,6 @@ class TransformExpr:
         return {"expression": self.source}
 
 
-def _unquote(qs: str) -> str:
-    if qs.startswith("r"):
-        qs = qs[1:]
-    return qs[1:-1]
-
-
-def _split_statements(body: str, base: int) -> list[tuple[int, str]]:
-    """Split on newlines and semicolons outside quoted strings."""
-    stmts: list[tuple[int, str]] = []
-    start = 0
-    quote: str | None = None
-    escaped = False
-    for i, ch in enumerate(body):
-        if quote is not None:
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == quote:
-                quote = None
-        elif ch in "'\"":
-            quote = ch
-        elif ch in ";\n":
-            stmts.append((base + start, body[start:i]))
-            start = i + 1
-    stmts.append((base + start, body[start:]))
-    out = []
-    for pos, raw in stmts:
-        stripped = raw.strip()
-        if stripped:
-            out.append((pos + raw.index(stripped[0]), stripped))
-    return out
-
-
 def _compile_pattern(pattern: str, pos: int) -> re.Pattern:
     try:
         return re.compile(pattern)
@@ -136,31 +92,30 @@ def _compile_pattern(pattern: str, pos: int) -> re.Pattern:
         raise ParseError(pos, f"a valid regular expression ({exc})") from None
 
 
-def _parse_return(stmt: str, pos: int, compiled: re.Pattern | None) -> ReturnExpr:
-    m = _RET_VALUE_RE.fullmatch(stmt)
-    if m:
-        return ReturnExpr(ReturnKind.VALUE)
-    m = _RET_GROUP_RE.fullmatch(stmt)
-    if m:
-        k = int(m.group(1))
-        _check_group(k, compiled, pos)
-        return ReturnExpr(ReturnKind.GROUP, group=k)
-    m = _RET_SUB_RE.fullmatch(stmt)
-    if m:
-        pattern = _unquote(m.group(1))
-        replacement = _unquote(m.group(2))
-        sub_compiled = _compile_pattern(pattern, pos)
-        try:
-            re.sub(sub_compiled, replacement, "")
-        except re.error as exc:
-            raise ParseError(pos, f"a valid substitution template ({exc})") from None
-        return ReturnExpr(ReturnKind.SUB, pattern=pattern, replacement=replacement)
-    m = _RET_METHOD_RE.fullmatch(stmt)
-    if m:
-        return ReturnExpr(ReturnKind(m.group(1)))
-    m = _RET_LITERAL_RE.fullmatch(stmt)
-    if m:
-        return ReturnExpr(ReturnKind.LITERAL, literal=_unquote(m.group(1)))
+def _parse_return(node: ast.expr | None, pos: int, compiled: re.Pattern | None) -> ReturnExpr:
+    match node:
+        case ast.Name("value"):
+            return ReturnExpr(ReturnKind.VALUE)
+        case ast.Constant(str() as literal):
+            return ReturnExpr(ReturnKind.LITERAL, literal=literal)
+        case ast.Call(ast.Attribute(ast.Name("match"), "group"), [ast.Constant(k)], []):
+            _check_group(k, compiled, pos)
+            return ReturnExpr(ReturnKind.GROUP, group=k)
+        case ast.Call(
+            ast.Attribute(ast.Name("re"), "sub"),
+            [ast.Constant(str() as pattern), ast.Constant(str() as replacement), ast.Name("value")],
+            [],
+        ):
+            sub_compiled = _compile_pattern(pattern, pos)
+            try:
+                re.sub(sub_compiled, replacement, "")
+            except re.error as exc:
+                raise ParseError(pos, f"a valid substitution template ({exc})") from None
+            return ReturnExpr(ReturnKind.SUB, pattern=pattern, replacement=replacement)
+        case ast.Call(
+            ast.Attribute(ast.Name("value"), "strip" | "upper" | "lower" as method), [], []
+        ):
+            return ReturnExpr(ReturnKind(method))
     raise ParseError(
         pos,
         "'return value', a string literal, 'match.group(k)', "
@@ -168,73 +123,73 @@ def _parse_return(stmt: str, pos: int, compiled: re.Pattern | None) -> ReturnExp
     )
 
 
-def _check_group(k: int, compiled: re.Pattern | None, pos: int) -> None:
+def _check_group(k: Any, compiled: re.Pattern | None, pos: int) -> None:
     if compiled is None:
         raise ParseError(pos, "'match = re.search(...)' before match.group is used")
+    if type(k) is not int:  # a bool would pass isinstance(k, int)
+        raise ParseError(pos, "an integer group number")
     if k > compiled.groups:
         raise ParseError(pos, f"a capture group that exists (pattern has {compiled.groups})")
+
+
+def _offset(source: str, text: str, node: ast.AST) -> int:
+    """The offset in ``source`` of a node that ``ast`` parsed from ``text``.
+
+    ``text`` is a tail of ``source`` with CR and CRLF read as LF, as Python
+    reads them, and then dedented. Dedent removes only line prefixes, so a
+    node lies as far from the end of its line in both. ``ast`` counts
+    columns in UTF-8 bytes.
+    """
+    line = [0, *(m.end() for m in re.finditer("\n", text))][node.lineno - 1]
+    rest = text[line + len(text[line:].encode()[: node.col_offset].decode()) :]
+    line_ends = [m.start() for m in re.finditer(r"\r\n?|\n", source)] + [len(source)]
+    return line_ends[-1 - rest.count("\n")] - len(rest.partition("\n")[0])
 
 
 def parse_transform_expr(source: str) -> TransformExpr:
     stripped = source.lstrip()
     if not stripped.startswith(PREFIX):
         raise ParseError(0, f"the literal prefix '{PREFIX}'")
-    offset = len(source) - len(stripped) + len(PREFIX)
-    stmts = _split_statements(source[offset:], offset)
+    body = stripped[len(PREFIX) :].lstrip(" \t")
+    text = textwrap.dedent(re.sub(r"\r\n?", "\n", body))
+    try:
+        tree = ast.parse(text)
+    except (SyntaxError, ValueError, MemoryError, RecursionError) as exc:
+        position = len(source) - len(body)
+        raise ParseError(position, f"Python syntax ({type(exc).__name__}: {exc})") from None
 
     search_pattern: str | None = None
     compiled: re.Pattern | None = None
     conditional_group: int | None = None
     fallback: ReturnExpr | None = None
-    imported = False
-    state = 0  # 0: start, 1: after search, 2: after conditional, 3: after fallback
-
-    i = 0
-    while i < len(stmts):
-        pos, stmt = stmts[i]
-        if state >= 3:
-            raise ParseError(pos, "no statements after the trailing return")
-        if _IMPORT_RE.fullmatch(stmt):
-            if state > 0 or imported:
-                raise ParseError(pos, "a single 'import re' at the start")
-            imported = True
-            i += 1
-            continue
-        m = _SEARCH_RE.fullmatch(stmt)
-        if m:
-            if state > 0:
-                raise ParseError(pos, "a single 'match = re.search(...)' binding")
-            search_pattern = _unquote(m.group(1))
-            compiled = _compile_pattern(search_pattern, pos)
-            state = 1
-            i += 1
-            continue
-        m = _IF_RE.fullmatch(stmt)
-        if m:
-            if state > 1:
-                raise ParseError(pos, "at most one 'if match:' block")
-            if compiled is None:
-                raise ParseError(pos, "'match = re.search(...)' before 'if match:'")
-            tail = m.group(1).strip()
-            if not tail:
-                i += 1
-                if i >= len(stmts):
-                    raise ParseError(pos, "'return match.group(k)' after 'if match:'")
-                pos, tail = stmts[i]
-            gm = _RET_GROUP_RE.fullmatch(tail)
-            if not gm:
-                raise ParseError(pos, "'return match.group(k)' as the if-match body")
-            conditional_group = int(gm.group(1))
-            _check_group(conditional_group, compiled, pos)
-            state = 2
-            i += 1
-            continue
-        if stmt.startswith("return"):
-            fallback = _parse_return(stmt, pos, compiled)
-            state = 3
-            i += 1
-            continue
-        raise ParseError(pos, _EXPECTED_STMT)
+    last = -1
+    for stmt in tree.body:
+        pos = _offset(source, text, stmt)
+        match stmt:
+            case ast.Import([ast.alias("re", None)]):
+                rank = _IMPORT
+            case ast.Assign(
+                [ast.Name("match")],
+                ast.Call(
+                    ast.Attribute(ast.Name("re"), "search"),
+                    [ast.Constant(str() as search_pattern), ast.Name("value")],
+                    [],
+                ),
+            ):
+                rank, compiled = _SEARCH, _compile_pattern(search_pattern, pos)
+            case ast.If(
+                ast.Name("match"),
+                [ast.Return(ast.Call(ast.Attribute(ast.Name("match"), "group")) as call)],
+                [],
+            ):
+                rank, conditional_group = _IF, _parse_return(call, pos, compiled).group
+            case ast.Return(returned):
+                rank, fallback = _RETURN, _parse_return(returned, pos, compiled)
+            case _:
+                raise ParseError(pos, _EXPECTED_STMT)
+        if rank <= last:
+            raise ParseError(pos, _ORDER)
+        last = rank
 
     if conditional_group is None and fallback is None:
         raise ParseError(len(source), "at least one return statement")
@@ -244,17 +199,18 @@ def parse_transform_expr(source: str) -> TransformExpr:
 def eval_transform_expr(expr: TransformExpr, cell: Cell) -> Cell:
     """Apply a parsed snippet to one cell.
 
-    Non-text cells pass through untouched, and a failed match with no
-    fallback leaves the cell unchanged; evaluation never raises.
+    Non-text cells pass through untouched. Where the snippet run as Python
+    would return None (a group that took no part in the match) or fail
+    (``match.group`` after a failed search), or a failed match has no
+    fallback, the cell is unchanged. Evaluation never raises.
     """
     if cell.kind is not CellKind.TEXT:
         return cell
     value = cell.value
-    match = re.search(expr.search_pattern, value) if expr.search_pattern else None
+    match = re.search(expr.search_pattern, value) if expr.search_pattern is not None else None
     if expr.conditional_group is not None and match is not None:
         group = match.group(expr.conditional_group)
-        if group is not None:
-            return Cell.text(group)
+        return Cell.text(group) if group is not None else cell
     fb = expr.fallback
     if fb is None:
         return cell

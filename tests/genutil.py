@@ -31,6 +31,9 @@ TRANSFORM_POOL = [
     "jython: return re.sub(r'\\s+', ' ', value)",
     "jython: import re\nmatch = re.search(r'\\b\\d{4}\\b', value)\nif match:\n    return match.group(0)",
     "jython: import re\nmatch = re.search(r'(\\d+)', value)\nif match:\n    return match.group(1)\nreturn value",
+    # Non-raw literals: Python decodes their escapes (a tab; a regex \s).
+    "jython: return 'n/a\\t'",
+    'jython: return re.sub("\\\\s+", "_", value)',
 ]
 
 

@@ -8,7 +8,8 @@ multiset overlap, and small independent parsers for numbers/whitespace.
 The last section keeps the straightforward versions of code that was since
 rewritten for speed or brevity (error injection, query filters, the eval
 report's JSON form, the column prompts, the trace records, the row-stored
-table), verbatim, so the rewrites can be checked against them.
+table, the regex-based transform parser), verbatim, so the rewrites can be
+checked against them.
 """
 
 from __future__ import annotations
@@ -510,3 +511,185 @@ def table_to_csv_oracle(table) -> bytes:
     for row in table.rows:
         writer.writerow([cell.render() for cell in row])
     return buf.getvalue().encode("utf-8")
+
+
+# transform snippets ----------------------------------------------------------
+
+_EXPECTED_STMT = (
+    "'import re', 'match = re.search(...)', 'if match: return match.group(k)' "
+    "or 'return <expr>'"
+)
+
+# A quoted string with optional r prefix, single or double quotes.
+_QS = r"r?(?:'(?:\\.|[^'\\])*'|\"(?:\\.|[^\"\\])*\")"
+
+_IMPORT_RE = re.compile(r"import\s+re")
+_SEARCH_RE = re.compile(rf"match\s*=\s*re\.search\(\s*({_QS})\s*,\s*value\s*\)")
+_IF_RE = re.compile(r"if\s+match\s*:(.*)", re.DOTALL)
+_RET_GROUP_RE = re.compile(r"return\s+match\.group\(\s*(\d+)\s*\)")
+_RET_VALUE_RE = re.compile(r"return\s+value")
+_RET_LITERAL_RE = re.compile(rf"return\s+({_QS})")
+_RET_SUB_RE = re.compile(
+    rf"return\s+re\.sub\(\s*({_QS})\s*,\s*({_QS})\s*,\s*value\s*\)"
+)
+_RET_METHOD_RE = re.compile(r"return\s+value\.(strip|upper|lower)\(\s*\)")
+
+
+def _unquote(qs: str) -> str:
+    if qs.startswith("r"):
+        qs = qs[1:]
+    return qs[1:-1]
+
+
+def _split_statements(body: str, base: int) -> list[tuple[int, str]]:
+    """Split on newlines and semicolons outside quoted strings."""
+    stmts: list[tuple[int, str]] = []
+    start = 0
+    quote: str | None = None
+    escaped = False
+    for i, ch in enumerate(body):
+        if quote is not None:
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif ch == quote:
+                quote = None
+        elif ch in "'\"":
+            quote = ch
+        elif ch in ";\n":
+            stmts.append((base + start, body[start:i]))
+            start = i + 1
+    stmts.append((base + start, body[start:]))
+    out = []
+    for pos, raw in stmts:
+        stripped = raw.strip()
+        if stripped:
+            out.append((pos + raw.index(stripped[0]), stripped))
+    return out
+
+
+def _compile_pattern(pattern: str, pos: int) -> re.Pattern:
+    from dcflow.errors import ParseError
+
+    try:
+        return re.compile(pattern)
+    except re.error as exc:
+        raise ParseError(pos, f"a valid regular expression ({exc})") from None
+
+
+def _parse_return(stmt: str, pos: int, compiled: re.Pattern | None):
+    from dcflow.errors import ParseError
+    from dcflow.transform import ReturnExpr, ReturnKind
+
+    m = _RET_VALUE_RE.fullmatch(stmt)
+    if m:
+        return ReturnExpr(ReturnKind.VALUE)
+    m = _RET_GROUP_RE.fullmatch(stmt)
+    if m:
+        k = int(m.group(1))
+        _check_group(k, compiled, pos)
+        return ReturnExpr(ReturnKind.GROUP, group=k)
+    m = _RET_SUB_RE.fullmatch(stmt)
+    if m:
+        pattern = _unquote(m.group(1))
+        replacement = _unquote(m.group(2))
+        sub_compiled = _compile_pattern(pattern, pos)
+        try:
+            re.sub(sub_compiled, replacement, "")
+        except re.error as exc:
+            raise ParseError(pos, f"a valid substitution template ({exc})") from None
+        return ReturnExpr(ReturnKind.SUB, pattern=pattern, replacement=replacement)
+    m = _RET_METHOD_RE.fullmatch(stmt)
+    if m:
+        return ReturnExpr(ReturnKind(m.group(1)))
+    m = _RET_LITERAL_RE.fullmatch(stmt)
+    if m:
+        return ReturnExpr(ReturnKind.LITERAL, literal=_unquote(m.group(1)))
+    raise ParseError(
+        pos,
+        "'return value', a string literal, 'match.group(k)', "
+        "'re.sub(...)' or a strip/upper/lower call",
+    )
+
+
+def _check_group(k: int, compiled: re.Pattern | None, pos: int) -> None:
+    from dcflow.errors import ParseError
+
+    if compiled is None:
+        raise ParseError(pos, "'match = re.search(...)' before match.group is used")
+    if k > compiled.groups:
+        raise ParseError(pos, f"a capture group that exists (pattern has {compiled.groups})")
+
+
+def parse_transform_expr_oracle(source: str):
+    """``transform.parse_transform_expr`` as it was before it parsed with
+    ``ast``: a hand-written statement splitter and one regex per statement.
+    Quoted content is taken verbatim, so it agrees with the ``ast`` parser
+    on raw literals only."""
+    from dcflow.errors import ParseError
+    from dcflow.transform import PREFIX, TransformExpr
+
+    stripped = source.lstrip()
+    if not stripped.startswith(PREFIX):
+        raise ParseError(0, f"the literal prefix '{PREFIX}'")
+    offset = len(source) - len(stripped) + len(PREFIX)
+    stmts = _split_statements(source[offset:], offset)
+
+    search_pattern: str | None = None
+    compiled: re.Pattern | None = None
+    conditional_group: int | None = None
+    fallback: ReturnExpr | None = None
+    imported = False
+    state = 0  # 0: start, 1: after search, 2: after conditional, 3: after fallback
+
+    i = 0
+    while i < len(stmts):
+        pos, stmt = stmts[i]
+        if state >= 3:
+            raise ParseError(pos, "no statements after the trailing return")
+        if _IMPORT_RE.fullmatch(stmt):
+            if state > 0 or imported:
+                raise ParseError(pos, "a single 'import re' at the start")
+            imported = True
+            i += 1
+            continue
+        m = _SEARCH_RE.fullmatch(stmt)
+        if m:
+            if state > 0:
+                raise ParseError(pos, "a single 'match = re.search(...)' binding")
+            search_pattern = _unquote(m.group(1))
+            compiled = _compile_pattern(search_pattern, pos)
+            state = 1
+            i += 1
+            continue
+        m = _IF_RE.fullmatch(stmt)
+        if m:
+            if state > 1:
+                raise ParseError(pos, "at most one 'if match:' block")
+            if compiled is None:
+                raise ParseError(pos, "'match = re.search(...)' before 'if match:'")
+            tail = m.group(1).strip()
+            if not tail:
+                i += 1
+                if i >= len(stmts):
+                    raise ParseError(pos, "'return match.group(k)' after 'if match:'")
+                pos, tail = stmts[i]
+            gm = _RET_GROUP_RE.fullmatch(tail)
+            if not gm:
+                raise ParseError(pos, "'return match.group(k)' as the if-match body")
+            conditional_group = int(gm.group(1))
+            _check_group(conditional_group, compiled, pos)
+            state = 2
+            i += 1
+            continue
+        if stmt.startswith("return"):
+            fallback = _parse_return(stmt, pos, compiled)
+            state = 3
+            i += 1
+            continue
+        raise ParseError(pos, _EXPECTED_STMT)
+
+    if conditional_group is None and fallback is None:
+        raise ParseError(len(source), "at least one return statement")
+    return TransformExpr(source, search_pattern, conditional_group, fallback)

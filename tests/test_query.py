@@ -352,16 +352,17 @@ def test_filter_conjunctions_match_per_row_oracle(rows, filters):
 
 
 def test_equality_filter_parses_each_distinct_text_once(monkeypatch):
-    import dcflow.query
+    import dcflow.cells
 
+    # Filters reach parse_date through cell_instant, so count it there.
     calls = []
-    original = dcflow.query.parse_date
+    original = dcflow.cells.parse_date
 
     def counting(text, *args):
         calls.append(text)
         return original(text, *args)
 
-    monkeypatch.setattr(dcflow.query, "parse_date", counting)
+    monkeypatch.setattr(dcflow.cells, "parse_date", counting)
     texts = [f"2023-01-{d:02d}" for d in range(1, 6)] + [f"shop {k}" for k in range(5)]
     table = Table.from_rows(
         ["v"], [[Cell.text(texts[i % len(texts)])] for i in range(1000)]
@@ -369,7 +370,7 @@ def test_equality_filter_parses_each_distinct_text_once(monkeypatch):
     q = QuerySpec(select=("v",), filters=(Filter("v", "=", Cell.text("2023-01-03")),))
     answer = execute_purpose(q, table)
     assert len(answer.values) == 100
-    assert len(calls) <= 11
+    assert 0 < len(calls) <= 11
 
 
 # query shapes rejected at load time ----------------------------------------
